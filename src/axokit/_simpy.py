@@ -1,8 +1,7 @@
-"""Pure-numpy fallback for the packed gate-level simulation kernel.
+"""Numpy kernel of the packed gate-level simulation.
 
-Mirrors the compiled extension instruction for instruction; selection
-between the two happens in :mod:`axokit.simcore`. Signals are rows of
-64-lane words, one input vector per lane.
+Replays a compiled netlist program for :mod:`axokit.simcore`.  Signals are
+rows of 64-lane words, one input vector per lane.
 """
 
 from __future__ import annotations

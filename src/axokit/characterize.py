@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import fmt, preamble, read_artifact, write_lines
 from .errors import CapacityError, DuplicateConfigError, SchemaError
 from .operators import (
     OP_BW,
@@ -415,37 +416,19 @@ def sample_configs(kind: OperatorKind, n: int, seed: int = 0) -> list[AxoConfig]
 
 # -- CSV persistence -------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def export_csv(dataset: CharDataset, path) -> None:
-    lines = []
-    meta = {"kind": dataset.kind.token, **dataset.meta}
-    lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
-    lines.append(CSV_HEADER)
+    lines = [preamble({"kind": dataset.kind.token, **dataset.meta}), CSV_HEADER]
     for r in dataset.records:
         row = [r.config.bitstring(), str(r.config_uint)]
-        row += [_fmt(getattr(r.behav, m)) for m in BEHAV_METRICS]
+        row += [fmt(getattr(r.behav, m)) for m in BEHAV_METRICS]
         row.append(str(r.ppa.lut_util))
-        row += [_fmt(getattr(r.ppa, m)) for m in PPA_METRICS[1:]]
+        row += [fmt(getattr(r.ppa, m)) for m in PPA_METRICS[1:]]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def import_csv(path) -> CharDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    meta: dict[str, str] = {}
-    i = 0
-    while i < len(raw) and raw[i].startswith("#"):
-        for tok in raw[i][1:].split():
-            if "=" not in tok:
-                raise SchemaError(f"{path}: malformed preamble token {tok!r}")
-            k, v = tok.split("=", 1)
-            meta[k] = v
-        i += 1
+    meta, raw, i = read_artifact(path)
     for key in ("kind", "provenance", "seed"):
         if key not in meta:
             raise SchemaError(f"{path}: preamble missing {key}=")

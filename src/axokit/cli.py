@@ -16,10 +16,10 @@ import time
 
 import numpy as np
 
-from . import __version__, simcore
+from . import __version__
+from .artifacts import fmt, preamble, write_lines
 from .characterize import (
     ActivityPolicy,
-    CharDataset,
     Exhaustive,
     Sampled,
     characterize_dataset,
@@ -30,7 +30,6 @@ from .characterize import (
 from .conss import (
     ConstraintSpec,
     Estimators,
-    ProxyCharacterize,
     derive_constraints,
     evaluate_pool,
     export_pool_csv,
@@ -38,9 +37,8 @@ from .conss import (
     select_seeds,
     supersample,
 )
-from .dse import GaParams, ParetoFront, hypervolume_2d, pareto_front, run_ga, validate_front
+from .dse import ParetoFront, hypervolume_2d, pareto_front, run_ga, validate_front
 from .errors import (
-    AxokitError,
     CapacityError,
     DuplicateConfigError,
     InvalidOperatorError,
@@ -49,8 +47,6 @@ from .errors import (
     WidthMismatchError,
 )
 from .forest import (
-    ForestParams,
-    hamming_eval,
     load_model,
     predict_metric,
     regressor_grid,
@@ -92,13 +88,9 @@ def _prepare_out(path: str, force: bool) -> str:
     return path
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _num(x, spec: str) -> str:
+    """``x`` formatted by ``spec``, or ``n/a`` when there is no value."""
+    return "n/a" if x is None else format(x, spec)
 
 
 def _default_input_policy(kind, args, cfg):
@@ -146,15 +138,16 @@ def cmd_analyze(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     bm, pm = cfg.behav_metric, cfg.ppa_metric
     points = minmax_scale(ds, bm, pm)
-    pre = f"# dataset={os.path.basename(args.dataset)} behav={bm} ppa={pm} seed={cfg.seed}"
+    pre = preamble({"dataset": os.path.basename(args.dataset), "behav": bm, "ppa": pm,
+                    "seed": cfg.seed})
 
     def out(name):
         return _prepare_out(os.path.join(args.out_dir, name), args.force)
 
-    _write_lines(out("scaled_points.csv"),
-                 [pre, "config_uint,behav_scaled,ppa_scaled"]
-                 + [f"{p.source_uint},{_fmt(p.behav_scaled)},{_fmt(p.ppa_scaled)}"
-                    for p in points])
+    write_lines(out("scaled_points.csv"),
+                [pre, "config_uint,behav_scaled,ppa_scaled"]
+                + [f"{p.source_uint},{fmt(p.behav_scaled)},{fmt(p.ppa_scaled)}"
+                   for p in points])
 
     k = elbow_select(points, args.kmax, seed=cfg.seed)
     sse_lines = [pre + f" chosen_k={k}", "k,sse"]
@@ -162,39 +155,39 @@ def cmd_analyze(args) -> int:
     arr = points_array(points)
     for kk in range(1, min(args.kmax, len(points)) + 1):
         _, _, hist = _lloyd(arr, kk, cfg.seed, 100)
-        sse_lines.append(f"{kk},{_fmt(hist[-1])}")
-    _write_lines(out("elbow.csv"), sse_lines)
+        sse_lines.append(f"{kk},{fmt(hist[-1])}")
+    write_lines(out("elbow.csv"), sse_lines)
 
     clusters = kmeans(points, k, seed=cfg.seed)
     member_rows = []
     centroid_rows = []
     hull_rows = []
     for ci, cl in enumerate(clusters):
-        centroid_rows.append(f"{ci},{_fmt(cl.centroid[0])},{_fmt(cl.centroid[1])},{len(cl.member_uints)}")
+        centroid_rows.append(f"{ci},{fmt(cl.centroid[0])},{fmt(cl.centroid[1])},{len(cl.member_uints)}")
         for u in cl.member_uints:
             member_rows.append(f"{u},{ci}")
         for vi, (x, y) in enumerate(cl.hull):
-            hull_rows.append(f"{ci},{vi},{_fmt(x)},{_fmt(y)}")
-    _write_lines(out("clusters.csv"), [pre + f" k={k}", "config_uint,cluster"] + member_rows)
-    _write_lines(out("centroids.csv"), [pre + f" k={k}", "cluster,behav,ppa,size"] + centroid_rows)
-    _write_lines(out("hulls.csv"), [pre + f" k={k}", "cluster,vertex,behav,ppa"] + hull_rows)
+            hull_rows.append(f"{ci},{vi},{fmt(x)},{fmt(y)}")
+    write_lines(out("clusters.csv"), [pre + f" k={k}", "config_uint,cluster"] + member_rows)
+    write_lines(out("centroids.csv"), [pre + f" k={k}", "cluster,behav,ppa,size"] + centroid_rows)
+    write_lines(out("hulls.csv"), [pre + f" k={k}", "cluster,vertex,behav,ppa"] + hull_rows)
 
     trend_metric = args.trend_metric or bm
     trend = windowed_trend(ds, trend_metric, args.window)
-    _write_lines(out("trend.csv"),
-                 [pre + f" metric={trend_metric} window={args.window}", "window,mean_scaled"]
-                 + [f"{i},{_fmt(v)}" for i, v in trend])
+    write_lines(out("trend.csv"),
+                [pre + f" metric={trend_metric} window={args.window}", "window,mean_scaled"]
+                + [f"{i},{fmt(v)}" for i, v in trend])
 
     if args.low:
         low = import_csv(args.low)
         for kd in DistanceKind:
             counts, edges = distance_histogram(low, ds, kd, bins=args.bins,
                                                behav_metric=bm, ppa_metric=pm)
-            rows = [f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])}"
+            rows = [f"{fmt(edges[i])},{fmt(edges[i + 1])},{int(counts[i])}"
                     for i in range(len(counts))]
-            _write_lines(out(f"hist_{kd.value}.csv"),
-                         [pre + f" low={os.path.basename(args.low)} kind={kd.value}",
-                          "bin_lo,bin_hi,count"] + rows)
+            write_lines(out(f"hist_{kd.value}.csv"),
+                        [pre + f" low={os.path.basename(args.low)} kind={kd.value}",
+                         "bin_lo,bin_hi,count"] + rows)
     print(f"analyze: {len(points)} points, elbow k={k} -> {args.out_dir}")
     return 0
 
@@ -258,8 +251,9 @@ def cmd_train(args) -> int:
         picked = ""
     save_model(model, _prepare_out(args.out, args.force))
     print(f"train: regressor target={args.target};{picked} "
-          f"test RMSE {rep.rmse_test:.6g} (scaled {rep.rmse_test_scaled:.4f}), "
-          f"R2 {rep.r2_test:.4f} -> {args.out}")
+          f"test RMSE {_num(rep.rmse_test, '.6g')} "
+          f"(scaled {_num(rep.rmse_test_scaled, '.4f')}), "
+          f"R2 {_num(rep.r2_test, '.4f')} -> {args.out}")
     return 0
 
 
@@ -276,7 +270,7 @@ def cmd_supersample(args) -> int:
     spec = derive_constraints(low, args.factor, cfg.behav_metric, cfg.ppa_metric)
     seeds = select_seeds(low, spec, mode=args.seed_mode)
     pool = supersample(model, high_kind, seeds, n_noise)
-    pool.meta["factor"] = _fmt(args.factor)
+    pool.meta["factor"] = fmt(args.factor)
     pool.meta["seed"] = str(cfg.seed)
     pool.meta["seed_mode"] = args.seed_mode
     if args.estimators:
@@ -356,32 +350,33 @@ def cmd_dse(args) -> int:
     method = args.method or ("conss_ga" if args.init else "ga")
     manifest = [
         f"method={method}",
-        f"factor={_fmt(args.factor)}",
+        f"factor={fmt(args.factor)}",
         f"seed={cfg.seed}",
         f"population_size={params.population_size}",
         f"max_generations={params.max_generations}",
         f"behav_metric={cfg.behav_metric}",
         f"ppa_metric={cfg.ppa_metric}",
-        f"b_max={_fmt(constraints.b_max)}",
-        f"p_max={_fmt(constraints.p_max)}",
+        f"b_max={fmt(constraints.b_max)}",
+        f"p_max={fmt(constraints.p_max)}",
         f"kind={kind.token}",
         f"train={os.path.basename(args.train)}",
         f"fitness={fitness_desc}",
         f"init={os.path.basename(args.init) if args.init else 'random'}",
-        f"final_hypervolume={_fmt(progress[-1].value)}",
+        f"final_hypervolume={fmt(progress[-1].value)}",
         f"front_size={len(ppf)}",
     ]
-    _write_lines(out("manifest.txt"), manifest)
-    _write_lines(out("progress.csv"),
-                 ["generation,hypervolume,feasible_count"]
-                 + [f"{g},{_fmt(hv.value)},{n}" for g, (hv, n)
-                    in enumerate(zip(progress, feas_counts))])
-    pre = (f"# kind={kind.token} behav_metric={cfg.behav_metric} "
-           f"ppa_metric={cfg.ppa_metric} factor={_fmt(args.factor)} seed={cfg.seed}")
-    _write_lines(out("ppf.csv"),
-                 [pre, "config_bits,config_uint,behav,ppa"]
-                 + [f"{AxoConfig.from_uint(u, config_length(kind)).bitstring()},{u},"
-                    f"{_fmt(b)},{_fmt(p)}" for b, p, u in ppf.points])
+    write_lines(out("manifest.txt"), manifest)
+    write_lines(out("progress.csv"),
+                ["generation,hypervolume,feasible_count"]
+                + [f"{g},{fmt(hv.value)},{n}" for g, (hv, n)
+                   in enumerate(zip(progress, feas_counts))])
+    pre = preamble({"kind": kind.token, "behav_metric": cfg.behav_metric,
+                    "ppa_metric": cfg.ppa_metric, "factor": fmt(args.factor),
+                    "seed": cfg.seed})
+    write_lines(out("ppf.csv"),
+                [pre, "config_bits,config_uint,behav,ppa"]
+                + [f"{AxoConfig.from_uint(u, config_length(kind)).bitstring()},{u},"
+                   f"{fmt(b)},{fmt(p)}" for b, p, u in ppf.points])
     if args.validate:
         known = import_csv(args.known) if args.known else None
         vpf, count, char_ds = validate_front(
@@ -390,11 +385,11 @@ def cmd_dse(args) -> int:
         )
         export_csv(char_ds, out("vpf.csv"))
         vhv = hypervolume_2d(vpf, (constraints.b_max, constraints.p_max)).value
-        print(f"dse[{method}]: PPF {len(ppf)} pts, hv {_fmt(progress[-1].value)}; "
-              f"VPF {len(vpf)} pts, hv {_fmt(vhv)}, {count} newly characterized "
+        print(f"dse[{method}]: PPF {len(ppf)} pts, hv {fmt(progress[-1].value)}; "
+              f"VPF {len(vpf)} pts, hv {fmt(vhv)}, {count} newly characterized "
               f"({elapsed:.1f}s) -> {args.out_dir}")
     else:
-        print(f"dse[{method}]: PPF {len(ppf)} pts, hv {_fmt(progress[-1].value)} "
+        print(f"dse[{method}]: PPF {len(ppf)} pts, hv {fmt(progress[-1].value)} "
               f"({elapsed:.1f}s, {len(progress) - 1} generations) -> {args.out_dir}")
     return 0
 
@@ -465,15 +460,15 @@ def cmd_report(args) -> int:
             if constraints.feasible(r.metric(bm), r.metric(pm))
         ]
         base = hypervolume_2d(pareto_front(train_pts), ref).value
-        lines.append(f"{_fmt(factor)},train,{_fmt(base)},1,")
+        lines.append(f"{fmt(factor)},train,{fmt(base)},1,")
         for name, f, front, validated in runs:
             if abs(f - factor) > 1e-12:
                 continue
             hv = hypervolume_2d(front, ref).value
             ratio = hv / base if base > 0 else float("nan")
-            lines.append(f"{_fmt(factor)},{name},{_fmt(hv)},{_fmt(ratio)},"
+            lines.append(f"{fmt(factor)},{name},{fmt(hv)},{fmt(ratio)},"
                          f"{'' if validated is None else validated}")
-    _write_lines(_prepare_out(args.out, args.force), lines)
+    write_lines(_prepare_out(args.out, args.force), lines)
     print(f"report: {len(lines) - 1} rows -> {args.out}")
     return 0
 

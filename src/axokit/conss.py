@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import fmt, preamble, read_artifact, write_lines
 from .characterize import (
     ActivityPolicy,
     CharDataset,
@@ -226,30 +227,19 @@ def export_pool_csv(pool: ConssPool, path, behav_metric: str = "avg_abs_rel_err"
     if pool.predicted is not None:
         meta["behav_metric"] = behav_metric
         meta["ppa_metric"] = ppa_metric
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
-    lines.append(POOL_HEADER_PRED if pool.predicted is not None else POOL_HEADER)
+    lines = [preamble(meta),
+             POOL_HEADER_PRED if pool.predicted is not None else POOL_HEADER]
     for i, (cfg, (lu, pat)) in enumerate(zip(pool.configs, pool.trace)):
         row = [cfg.bitstring(), str(cfg.uint), str(lu), str(pat), pool.source]
         if pool.predicted is not None:
-            row.append("%.17g" % pool.predicted[behav_metric][i])
-            row.append("%.17g" % pool.predicted[ppa_metric][i])
+            row.append(fmt(pool.predicted[behav_metric][i]))
+            row.append(fmt(pool.predicted[ppa_metric][i]))
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def import_pool_csv(path) -> ConssPool:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    meta: dict[str, str] = {}
-    i = 0
-    while i < len(raw) and raw[i].startswith("#"):
-        for tok in raw[i][1:].split():
-            if "=" not in tok:
-                raise SchemaError(f"{path}: malformed preamble token {tok!r}")
-            k, v = tok.split("=", 1)
-            meta[k] = v
-        i += 1
+    meta, raw, i = read_artifact(path)
     if "kind" not in meta:
         raise SchemaError(f"{path}: preamble missing kind=")
     if i >= len(raw) or raw[i] not in (POOL_HEADER, POOL_HEADER_PRED):

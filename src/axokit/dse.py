@@ -12,7 +12,7 @@ against a reference point.
 from __future__ import annotations
 
 import concurrent.futures as cf
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,15 +123,6 @@ def hypervolume_2d(front: ParetoFront, reference: tuple[float, float]) -> Hyperv
         b_next = stair[i + 1][0] if i + 1 < len(stair) else rb
         area += (b_next - b) * (rp - p)
     return HypervolumeResult(float(area), (rb, rp), len(stair))
-
-
-def _constrained_dominates(a: Individual, b: Individual, spec: ConstraintSpec) -> bool:
-    if a.feasible != b.feasible:
-        return a.feasible
-    if not a.feasible:
-        return spec.violation(a.behav, a.ppa) < spec.violation(b.behav, b.ppa)
-    return (a.behav <= b.behav and a.ppa <= b.ppa
-            and (a.behav < b.behav or a.ppa < b.ppa))
 
 
 def _rank_population(pop: list[Individual], spec: ConstraintSpec) -> list[list[int]]:

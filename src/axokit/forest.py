@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import fmt, write_lines
 from .characterize import CharDataset
 from .errors import ModelFormatError, WidthMismatchError
 from .matching import TrainingSet
-from .stats import scale_array
 
 MODEL_MAGIC = "axokit-forest-v1"
 
@@ -144,10 +144,6 @@ def _gini_total(counts: np.ndarray, n: int) -> float:
         return 0.0
     p = counts / n
     return float((2.0 * p * (1.0 - p)).sum())
-
-
-def _build_tree_classifier(X, Y, idx, params, rng):
-    return _build_tree(X, Y.astype(np.float64), idx, params, rng, classifier=True)
 
 
 def _build_tree(X: np.ndarray, Y: np.ndarray, idx: np.ndarray,
@@ -368,10 +364,6 @@ def regressor_grid(d: CharDataset, target_metric: str, seed: int = 0,
 
 # -- persistence -------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def save_model(model: ForestModel, path) -> None:
     lines = [MODEL_MAGIC]
     p = model.params
@@ -391,11 +383,10 @@ def save_model(model: ForestModel, path) -> None:
         lines.append("feature=" + " ".join(map(str, t.feature.tolist())))
         lines.append("left=" + " ".join(map(str, t.left.tolist())))
         lines.append("right=" + " ".join(map(str, t.right.tolist())))
-        lines.append("payload=" + " ".join(_fmt(v) for v in t.payload.ravel().tolist()))
+        lines.append("payload=" + " ".join(fmt(v) for v in t.payload.ravel().tolist()))
     body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body + f"checksum={digest}\n")
+    lines.append("checksum=" + hashlib.sha256(body.encode("utf-8")).hexdigest())
+    write_lines(path, lines)
 
 
 def load_model(path) -> ForestModel:

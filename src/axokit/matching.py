@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import preamble, read_artifact, write_lines
 from .characterize import CharDataset
 from .errors import CapacityError, SchemaError
 from .operators import AxoConfig, OperatorKind, config_length, parse_kind
@@ -83,10 +84,6 @@ class TrainingSet:
     @property
     def output_width(self) -> int:
         return self.Y.shape[1]
-
-    @property
-    def rows(self):
-        return [(tuple(x), tuple(y)) for x, y in zip(self.X, self.Y)]
 
 
 def match_datasets(l_char: CharDataset, h_char: CharDataset,
@@ -170,27 +167,16 @@ def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> Tr
 
 
 def export_training_csv(t: TrainingSet, path) -> None:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in t.meta.items()), TRAINING_HEADER]
+    lines = [preamble(t.meta), TRAINING_HEADER]
     for x, y in zip(t.X, t.Y):
         xi = "".join(str(b) for b in x[::-1])
         yi = "".join(str(b) for b in y[::-1])
         lines.append(f"{xi},{yi}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def import_training_csv(path) -> TrainingSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    meta: dict[str, str] = {}
-    i = 0
-    while i < len(raw) and raw[i].startswith("#"):
-        for tok in raw[i][1:].split():
-            if "=" not in tok:
-                raise SchemaError(f"{path}: malformed preamble token {tok!r}")
-            k, v = tok.split("=", 1)
-            meta[k] = v
-        i += 1
+    meta, raw, i = read_artifact(path)
     if i >= len(raw) or raw[i] != TRAINING_HEADER:
         raise SchemaError(f"{path}: bad training header")
     if "n_noise" not in meta:

@@ -23,9 +23,9 @@ structure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -161,14 +161,6 @@ class AxoConfig:
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"malformed config bitstring {s!r}")
         return cls(tuple(int(c) for c in reversed(s)))
-
-
-def config_from_uint(u: int, length: int) -> AxoConfig:
-    return AxoConfig.from_uint(u, length)
-
-
-def config_to_uint(config: AxoConfig) -> int:
-    return config.uint
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Flat key=value run configuration shared by all CLI subcommands.
 
-One value per line, ``#`` comments allowed, unknown keys rejected.  Flags
-given on the command line override file values; file values override the
-built-in defaults below.
+One value per line, ``#`` comments allowed, unknown keys and unknown
+metric names rejected.  Flags given on the command line override file
+values; file values override the built-in defaults below.
 """
 
 from __future__ import annotations
 
-from .characterize import ProxyWeights
+from .characterize import METRICS, ProxyWeights
 from .dse import GaParams
 from .errors import SchemaError
 from .forest import ForestParams
@@ -74,6 +74,10 @@ class RunConfig:
             if key not in SCHEMA:
                 raise SchemaError(f"unknown run-config key {key!r}")
         self._v = {k: values.get(k, d) for k, (_, d) in SCHEMA.items()}
+        for key in ("behav_metric", "ppa_metric"):
+            if self._v[key] not in METRICS:
+                raise ValueError(f"unknown {key} {self._v[key]!r} "
+                                 f"(valid: {', '.join(METRICS)})")
 
     def __getattr__(self, key):
         try:

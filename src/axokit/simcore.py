@@ -3,42 +3,20 @@
 Operand pairs are packed 64 per machine word (one vector per lane, lane 0
 in the least significant bit), every netlist signal becomes a row of words,
 and the compiled program from :mod:`axokit.operators` is replayed over the
-rows.  The hot loop lives either in the optional compiled extension
-``axokit._simkernel`` or in the numpy fallback ``axokit._simpy``; both
-implement the same ``run_program`` contract and are selected once at
-import.  Set ``AXOKIT_NO_EXT=1`` to force the fallback.
+rows by :func:`axokit._simpy.run_program`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from . import _simpy
 from .operators import AxoConfig, Family, OperatorNetlist
-
-if os.environ.get("AXOKIT_NO_EXT"):
-    from . import _simpy as _kernel
-
-    HAVE_EXT = False
-else:
-    try:
-        from . import _simkernel as _kernel  # type: ignore[attr-defined]
-
-        HAVE_EXT = True
-    except ImportError:
-        from . import _simpy as _kernel
-
-        HAVE_EXT = False
 
 # Lanes per chunk; bounds peak memory at n_signals * CHUNK_LANES / 8 bytes.
 CHUNK_LANES = 1 << 20
 
 _ONES = ~np.uint64(0)
-
-
-def backend_name() -> str:
-    return "cext" if HAVE_EXT else "numpy"
 
 
 def _lanes_mask(m: int, n_words: int) -> np.ndarray:
@@ -80,7 +58,7 @@ def _simulate_chunk(net: OperatorNetlist, gate: np.ndarray,
         sh = np.uint64(i)
         sig[net.a_signals[i]] = _pack_column(((au >> sh) & one).astype(np.uint8), n_words)
         sig[net.b_signals[i]] = _pack_column(((bu >> sh) & one).astype(np.uint8), n_words)
-    _kernel.run_program(net.instructions, sig, gate)
+    _simpy.run_program(net.instructions, sig, gate)
     return sig
 
 

@@ -140,6 +140,20 @@ def test_exit_code_usage(tmp_path, pipe):
                pipe / "h.csv", "-o", tmp_path / "m.fmodel") == 2
     assert run("report", "--train", pipe / "h.csv", "--run", "noequals",
                "-o", tmp_path / "r.csv") == 2
+    assert run("analyze", "--dataset", pipe / "h.csv", "--behav-metric", "nope",
+               "--out-dir", tmp_path / "a") == 2
+    assert run("match", "--low", pipe / "l.csv", "--high", pipe / "h.csv",
+               "--ppa-metric", "bogus", "-o", tmp_path / "t.csv") == 2
+
+
+def test_train_regressor_without_test_rows(tmp_path, capsys):
+    # two records leave the 80/20 split no test rows
+    ds, model = tmp_path / "two.csv", tmp_path / "m.fmodel"
+    assert run("characterize", "--op", "mul:s4", "--sample", 2, "-o", ds) == 0
+    assert run("train", "--dataset", ds, "--target", "pdplut", "--n-trees", 2,
+               "-o", model) == 0
+    assert "test RMSE n/a (scaled n/a), R2 n/a" in capsys.readouterr().out
+    assert model.exists()
 
 
 def test_exit_code_schema(tmp_path, pipe):

@@ -13,12 +13,7 @@ from axokit import (
     parse_kind,
 )
 from axokit.errors import CapacityError, InvalidOperatorError
-from axokit.operators import (
-    AxoConfig,
-    config_from_uint,
-    config_length,
-    config_to_uint,
-)
+from axokit.operators import AxoConfig, config_length
 from axokit.simcore import evaluate_batch
 
 
@@ -52,20 +47,20 @@ def test_operand_ranges():
 # -- config encoding --------------------------------------------------
 
 def test_config_uint_examples():
-    assert config_from_uint(5, 4).bits == (1, 0, 1, 0)
-    assert config_to_uint(AxoConfig((1, 1, 1))) == 7
+    assert AxoConfig.from_uint(5, 4).bits == (1, 0, 1, 0)
+    assert AxoConfig((1, 1, 1)).uint == 7
 
 
 def test_config_round_trip_l4():
     for u in range(16):
-        assert config_to_uint(config_from_uint(u, 4)) == u
+        assert AxoConfig.from_uint(u, 4).uint == u
 
 
 def test_config_uint_range_errors():
     with pytest.raises(ValueError):
-        config_from_uint(16, 4)
+        AxoConfig.from_uint(16, 4)
     with pytest.raises(ValueError):
-        config_from_uint(-1, 4)
+        AxoConfig.from_uint(-1, 4)
 
 
 def test_bitstring_round_trip():
@@ -82,7 +77,7 @@ def test_bitstring_round_trip():
 @given(st.integers(min_value=1, max_value=20), st.data())
 def test_config_round_trip_property(length, data):
     u = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-    assert config_to_uint(config_from_uint(u, length)) == u
+    assert AxoConfig.from_uint(u, length).uint == u
 
 
 # -- netlist shape -----------------------------------------------------

@@ -1,6 +1,5 @@
-"""Packed simulation: backend parity, chunking, and toggle counting."""
+"""Packed simulation: scalar parity, chunking, and toggle counting."""
 
-import os
 import subprocess
 import sys
 
@@ -10,12 +9,7 @@ import pytest
 from axokit import build_netlist, evaluate, parse_kind
 from axokit.operators import AxoConfig
 from axokit import simcore
-from axokit.simcore import backend_name, evaluate_batch, gate_words
-from axokit import _simpy
-
-
-def test_backend_name_is_known():
-    assert backend_name() in ("cext", "numpy")
+from axokit.simcore import evaluate_batch, gate_words
 
 
 def test_gate_words_layout():
@@ -44,32 +38,8 @@ def test_batch_matches_scalar(token):
         assert out[i] == evaluate(net, cfg, int(a[i]), int(b[i]))
 
 
-@pytest.mark.skipif(not simcore.HAVE_EXT, reason="compiled extension not built")
-@pytest.mark.parametrize("token", ["adder:u8", "mul:s4", "mul:s8"])
-def test_compiled_kernel_matches_numpy_kernel(token):
-    # drive both run_program implementations on identical buffers
-    from axokit import _simkernel
-
-    kind = parse_kind(token)
-    net = build_netlist(kind)
-    rng = np.random.default_rng(7)
-    prog = net.instructions
-    n_sig = 2 + 2 * kind.width + len(net.cells)
-    for trial in range(5):
-        cfg = AxoConfig(tuple(int(x) for x in rng.integers(0, 2, net.removable_count)))
-        gate = gate_words(cfg)
-        words = rng.integers(0, 1 << 63, size=(n_sig, 4), dtype=np.int64).astype(np.uint64)
-        sig_py = words.copy()
-        sig_py[0] = 0
-        sig_py[1] = ~np.uint64(0)
-        sig_c = sig_py.copy()
-        _simpy.run_program(prog, sig_py, gate)
-        _simkernel.run_program(prog, sig_c, gate)
-        assert np.array_equal(sig_py, sig_c)
-
-
-def test_fallback_subprocess_agrees():
-    # same evaluation with AXOKIT_NO_EXT set must match bit for bit
+def test_fresh_process_agrees():
+    # the same evaluation in a fresh interpreter must match bit for bit
     kind = parse_kind("mul:s8")
     net = build_netlist(kind)
     cfg = AxoConfig.from_uint(0x5A5A5A5A5, 36)
@@ -79,8 +49,7 @@ def test_fallback_subprocess_agrees():
         "import numpy as np\n"
         "from axokit import build_netlist, parse_kind\n"
         "from axokit.operators import AxoConfig\n"
-        "from axokit.simcore import backend_name, evaluate_batch\n"
-        "assert backend_name() == 'numpy'\n"
+        "from axokit.simcore import evaluate_batch\n"
         "kind = parse_kind('mul:s8')\n"
         "net = build_netlist(kind)\n"
         "cfg = AxoConfig.from_uint(0x5A5A5A5A5, 36)\n"
@@ -90,9 +59,8 @@ def test_fallback_subprocess_agrees():
         "out, tog = evaluate_batch(net, cfg, a, b, count_toggles=True)\n"
         "print(int(out.sum()), int(np.bitwise_xor.reduce(out)), tog)\n"
     )
-    env = dict(os.environ, AXOKIT_NO_EXT="1")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, check=True)
+                         text=True, check=True)
     got = res.stdout.split()
     assert int(got[0]) == int(out.sum())
     assert int(got[1]) == int(np.bitwise_xor.reduce(out))
