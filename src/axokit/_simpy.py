@@ -1,7 +1,8 @@
 """Numpy kernel of the packed gate-level simulation.
 
 Replays a compiled netlist program for :mod:`axokit.simcore`.  Signals are
-rows of 64-lane words, one input vector per lane.
+rows of 64-lane words, one input vector per lane; a row holds a block of
+configs side by side (``configs x words``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ def run_program(prog: np.ndarray, sig: np.ndarray, gate: np.ndarray) -> None:
     prog: (C, 8) int32 rows [op, out, i0, i1, i2, i3, flags, cfg]
     sig:  (n_signals, W) uint64, rows 0/1 and the input rows prefilled;
           cell output rows are written in place
-    gate: (L,) uint64, all-ones where the config keeps the LUT, 0 where
-          it is removed
+    gate: (L, W) uint64 per-word masks, all-ones in the words of configs
+          that keep the LUT, 0 where it is removed; ``v & gate[cfg]``
+          gates every config's words by its own bit
     """
     ones = ~np.uint64(0)
     for k in range(prog.shape[0]):

@@ -3,10 +3,13 @@
 Tabular artifacts are UTF-8 text: ``# k=v ...`` preamble lines, a header
 line, then comma-separated rows.  Floats are written with 17 significant
 digits, so every double round-trips exactly.  Every file goes out through
-:func:`write_lines`.
+:func:`write_lines`, which replaces the target atomically.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 from .errors import SchemaError
 
@@ -21,8 +24,18 @@ def preamble(meta: dict) -> str:
 
 
 def write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``lines`` to ``path`` through a temp file in the same directory
+    renamed onto the target, so a killed or failed write never leaves a
+    partial target; the temp file is removed on error."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_artifact(path) -> tuple[dict[str, str], list[str], int]:

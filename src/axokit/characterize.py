@@ -8,11 +8,17 @@ and power is the mean toggle count per cycle under a random activity
 stream.  Real synthesis numbers can be imported through the same CSV
 schema (provenance ``imported_external``) and flow through every
 downstream module unchanged.
+
+Every path goes through one block body: configs are simulated in blocks
+of at most ``BLOCK_LANES`` lanes (see :mod:`axokit.simcore`), while each
+record keeps its own RNG streams, so a record never depends on which
+block or thread computed it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,6 +39,13 @@ from .operators import (
 from . import simcore
 
 EXHAUSTIVE_INPUT_BITS = 24
+
+# Lanes per simulation block: configs are grouped so that one block's
+# signal rows span at most this many word-padded lanes.  A larger budget
+# cuts per-call overhead but grows the toggle-counting temporaries: at
+# 2^16 the peak RSS of characterizing 256 exhaustive mul:s8 configs rose
+# 14 % over one-config-per-pass simulation, at 2^14 it stays within 2 %.
+BLOCK_LANES = 1 << 14
 
 BEHAV_METRICS = ("avg_abs_err", "avg_abs_rel_err", "max_abs_err", "err_rate")
 PPA_METRICS = ("lut_util", "cpd_proxy", "power_proxy", "pdp", "pdplut")
@@ -195,16 +208,77 @@ def _record_rng(seed: int, tag: int, config: AxoConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), tag, config.uint)))
 
 
-def _behav_from_outputs(exact: np.ndarray, out: np.ndarray) -> BehavMetrics:
+def _record_operands(kind: OperatorKind, configs: Sequence[AxoConfig], n: int,
+                     seed: int, tag: int):
+    """(k, n) operand rows, row i drawn from config i's own stream, a before b."""
+    lo, hi = kind.operand_range()
+    a = np.empty((len(configs), n), dtype=np.int64)
+    b = np.empty((len(configs), n), dtype=np.int64)
+    for i, c in enumerate(configs):
+        rng = _record_rng(seed, tag, c)
+        a[i] = rng.integers(lo, hi, size=n, dtype=np.int64)
+        b[i] = rng.integers(lo, hi, size=n, dtype=np.int64)
+    return a, b
+
+
+def _blocks(configs: list[AxoConfig], lanes: int) -> list[list[AxoConfig]]:
+    """Consecutive config blocks of at most BLOCK_LANES word-padded lanes;
+    a config whose lanes alone exceed the budget is a block of one."""
+    per = max(1, BLOCK_LANES // (64 * ((lanes + 63) // 64)))
+    return [configs[i:i + per] for i in range(0, len(configs), per)]
+
+
+def _exhaustive_inputs(kind: OperatorKind, input_policy):
+    """(a, b, exact) over the whole operand grid for Exhaustive, None for
+    Sampled (whose operands are per record)."""
+    if isinstance(input_policy, Exhaustive):
+        if 2 * kind.width > EXHAUSTIVE_INPUT_BITS:
+            raise CapacityError(
+                f"exhaustive characterization needs {2 * kind.width} input bits "
+                f"(limit {EXHAUSTIVE_INPUT_BITS}); use Sampled"
+            )
+        a, b = _operand_grid(kind)
+        return a, b, kind.exact(a, b)
+    if isinstance(input_policy, Sampled):
+        return None
+    raise TypeError(f"unknown input policy {input_policy!r}")
+
+
+def _behav_from_outputs(exact: np.ndarray, out: np.ndarray) -> list[BehavMetrics]:
+    """Error metrics of each row of ``out`` (k, lanes) against ``exact``,
+    shared (lanes,) or one row per config."""
     err = exact - out
     abs_err = np.abs(err).astype(np.float64)
     denom = np.maximum(1.0, np.abs(exact).astype(np.float64))
-    return BehavMetrics(
-        avg_abs_err=float(abs_err.mean()),
-        avg_abs_rel_err=float((abs_err / denom).mean()),
-        max_abs_err=float(abs_err.max()),
-        err_rate=float(np.count_nonzero(err) / err.size),
-    )
+    avg = abs_err.mean(axis=-1)
+    mx = abs_err.max(axis=-1)
+    abs_err /= denom
+    rel = abs_err.mean(axis=-1)
+    wrong = np.count_nonzero(err, axis=-1)
+    n = err.shape[-1]
+    return [
+        BehavMetrics(
+            avg_abs_err=float(avg[i]),
+            avg_abs_rel_err=float(rel[i]),
+            max_abs_err=float(mx[i]),
+            err_rate=int(wrong[i]) / n,
+        )
+        for i in range(err.shape[0])
+    ]
+
+
+def _behav_block(net: OperatorNetlist, configs: list[AxoConfig], input_policy,
+                 seed: int, grid) -> list[BehavMetrics]:
+    """BEHAV metrics of a config block in one simulation pass; ``grid`` is
+    the shared exhaustive (a, b, exact) or None for sampled operands."""
+    if grid is not None:
+        a, b, exact = grid
+    else:
+        eff = input_policy.seed if input_policy.seed is not None else seed
+        a, b = _record_operands(net.kind, configs, input_policy.n, eff, _TAG_BEHAV)
+        exact = net.kind.exact(a, b)
+    out = simcore.evaluate_configs(net, configs, a, b)
+    return _behav_from_outputs(exact, out)
 
 
 def behav_characterize(kind: OperatorKind, config: AxoConfig, input_policy,
@@ -216,23 +290,8 @@ def behav_characterize(kind: OperatorKind, config: AxoConfig, input_policy,
     """
     net = netlist if netlist is not None else build_netlist(kind)
     net.check_config(config)
-    if isinstance(input_policy, Exhaustive):
-        if 2 * kind.width > EXHAUSTIVE_INPUT_BITS:
-            raise CapacityError(
-                f"exhaustive characterization needs {2 * kind.width} input bits "
-                f"(limit {EXHAUSTIVE_INPUT_BITS}); use Sampled"
-            )
-        a, b = _operand_grid(kind)
-    elif isinstance(input_policy, Sampled):
-        eff = input_policy.seed if input_policy.seed is not None else seed
-        rng = _record_rng(eff, _TAG_BEHAV, config)
-        lo, hi = kind.operand_range()
-        a = rng.integers(lo, hi, size=input_policy.n, dtype=np.int64)
-        b = rng.integers(lo, hi, size=input_policy.n, dtype=np.int64)
-    else:
-        raise TypeError(f"unknown input policy {input_policy!r}")
-    out = simcore.evaluate_batch(net, config, a, b)
-    return _behav_from_outputs(kind.exact(a, b), out)
+    grid = _exhaustive_inputs(kind, input_policy)
+    return _behav_block(net, [config], input_policy, seed, grid)[0]
 
 
 def cpd_proxy(net: OperatorNetlist, config: AxoConfig,
@@ -324,6 +383,35 @@ def cpd_proxy(net: OperatorNetlist, config: AxoConfig,
     return float(max((arr[s] for s in net.out_signals), default=0.0))
 
 
+def _ppa_block(net: OperatorNetlist, configs: list[AxoConfig],
+               activity_policy: ActivityPolicy, seed: int,
+               weights: ProxyWeights) -> list[PpaMetrics]:
+    """Proxy cost metrics of a config block; toggles in one simulation
+    pass, ``cpd_proxy`` per config."""
+    cycles = activity_policy.cycles
+    eff = activity_policy.seed if activity_policy.seed is not None else seed
+    a, b = _record_operands(net.kind, configs, cycles, eff, _TAG_ACTIVITY)
+    _, toggles = simcore.evaluate_configs(net, configs, a, b, count_toggles=True)
+    metrics = []
+    for config, t in zip(configs, toggles.tolist()):
+        power = t / (cycles - 1) * weights.unit_energy
+        cpd = cpd_proxy(net, config, weights)
+        lut = config.popcount
+        metrics.append(PpaMetrics(
+            lut_util=lut,
+            cpd_proxy=cpd,
+            power_proxy=power,
+            pdp=power * cpd,
+            pdplut=power * cpd * lut,
+        ))
+    return metrics
+
+
+def _check_activity(activity_policy: ActivityPolicy) -> None:
+    if activity_policy.cycles < 2:
+        raise ValueError("activity policy needs at least 2 cycles")
+
+
 def ppa_characterize(net: OperatorNetlist, config: AxoConfig, activity_policy: ActivityPolicy,
                      seed: int = 0, weights: ProxyWeights = ProxyWeights()) -> PpaMetrics:
     """Proxy cost metrics of one config.
@@ -333,24 +421,8 @@ def ppa_characterize(net: OperatorNetlist, config: AxoConfig, activity_policy: A
     vectors; pdp and pdplut follow by the declared identities.
     """
     net.check_config(config)
-    if activity_policy.cycles < 2:
-        raise ValueError("activity policy needs at least 2 cycles")
-    eff = activity_policy.seed if activity_policy.seed is not None else seed
-    rng = _record_rng(eff, _TAG_ACTIVITY, config)
-    lo, hi = net.kind.operand_range()
-    a = rng.integers(lo, hi, size=activity_policy.cycles, dtype=np.int64)
-    b = rng.integers(lo, hi, size=activity_policy.cycles, dtype=np.int64)
-    _, toggles = simcore.evaluate_batch(net, config, a, b, count_toggles=True)
-    power = toggles / (activity_policy.cycles - 1) * weights.unit_energy
-    cpd = cpd_proxy(net, config, weights)
-    lut = config.popcount
-    return PpaMetrics(
-        lut_util=lut,
-        cpd_proxy=cpd,
-        power_proxy=power,
-        pdp=power * cpd,
-        pdplut=power * cpd * lut,
-    )
+    _check_activity(activity_policy)
+    return _ppa_block(net, [config], activity_policy, seed, weights)[0]
 
 
 def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
@@ -359,7 +431,13 @@ def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
                          threads: int = 1,
                          provenance: str = PROVENANCE_PROXY) -> CharDataset:
     """Characterize many configs; order preserved, bit-identical at any
-    thread count (per-record RNG streams never depend on scheduling)."""
+    thread count (per-record RNG streams never depend on scheduling).
+
+    Configs are simulated in blocks of at most BLOCK_LANES lanes, BEHAV
+    and activity separately; ``threads > 1`` spreads the blocks over a
+    thread pool.  The exhaustive operand grid and its exact results are
+    built once per call.
+    """
     configs = list(configs)
     if not configs:
         raise ValueError("config list is empty")
@@ -369,17 +447,28 @@ def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
             raise DuplicateConfigError(f"duplicate config_uint {c.uint}")
         seen.add(c.uint)
     net = build_netlist(kind)
+    grid = _exhaustive_inputs(kind, input_policy)
+    _check_activity(activity_policy)
+    behav_lanes = grid[0].size if grid is not None else input_policy.n
+    behav_blocks = _blocks(configs, behav_lanes)
+    ppa_blocks = _blocks(configs, activity_policy.cycles)
 
-    def one(config: AxoConfig) -> CharRecord:
-        behav = behav_characterize(kind, config, input_policy, seed=seed, netlist=net)
-        ppa = ppa_characterize(net, config, activity_policy, seed=seed, weights=weights)
-        return CharRecord(config, behav, ppa)
+    def behav(block):
+        return _behav_block(net, block, input_policy, seed, grid)
+
+    def ppa(block):
+        return _ppa_block(net, block, activity_policy, seed, weights)
 
     if threads > 1:
         with cf.ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, configs))
+            behav_parts = list(pool.map(behav, behav_blocks))
+            ppa_parts = list(pool.map(ppa, ppa_blocks))
     else:
-        records = [one(c) for c in configs]
+        behav_parts = [behav(blk) for blk in behav_blocks]
+        ppa_parts = [ppa(blk) for blk in ppa_blocks]
+    behavs = [m for part in behav_parts for m in part]
+    ppas = [m for part in ppa_parts for m in part]
+    records = [CharRecord(c, bm, pm) for c, bm, pm in zip(configs, behavs, ppas)]
     meta = {
         "provenance": provenance,
         "seed": str(seed),
@@ -460,6 +549,9 @@ def import_csv(path) -> CharDataset:
             raise SchemaError(f"{path}:{rowno}: {e}") from e
         if uint != config.uint:
             raise SchemaError(f"{path}:{rowno}: config_uint {uint} != bits {parts[0]}")
+        for name, v in zip(METRICS, vals):
+            if not math.isfinite(v):
+                raise SchemaError(f"{path}:{rowno}: non-finite {name} {v!r}")
         behav = BehavMetrics(*vals[:4])
         ppa = PpaMetrics(lut, *vals[5:])
         records.append(CharRecord(config, behav, ppa))

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .artifacts import fmt, preamble, write_lines
 from .characterize import (
+    METRICS,
     ActivityPolicy,
     Exhaustive,
     Sampled,
@@ -88,6 +89,12 @@ def _prepare_out(path: str, force: bool) -> str:
     return path
 
 
+def _check_metric(flag: str, name: str) -> None:
+    if name not in METRICS:
+        raise UsageError(f"unknown {flag} metric {name!r} "
+                         f"(valid: {', '.join(METRICS)})")
+
+
 def _num(x, spec: str) -> str:
     """``x`` formatted by ``spec``, or ``n/a`` when there is no value."""
     return "n/a" if x is None else format(x, spec)
@@ -134,6 +141,8 @@ def cmd_analyze(args) -> int:
     cfg = load_runconfig(args.config, {"seed": args.seed,
                                        "behav_metric": args.behav_metric,
                                        "ppa_metric": args.ppa_metric})
+    if args.trend_metric:
+        _check_metric("--trend-metric", args.trend_metric)
     ds = import_csv(args.dataset)
     os.makedirs(args.out_dir, exist_ok=True)
     bm, pm = cfg.behav_metric, cfg.ppa_metric
@@ -240,6 +249,7 @@ def cmd_train(args) -> int:
         return 0
     if not args.target:
         raise UsageError("--target METRIC is required with --dataset")
+    _check_metric("--target", args.target)
     ds = import_csv(args.dataset)
     if args.grid:
         params, model, rep = regressor_grid(ds, args.target, seed=cfg.seed,
@@ -289,19 +299,13 @@ def cmd_supersample(args) -> int:
 # -- dse --------------------------------------------------------------
 
 def _proxy_fitness(kind, cfg, policy, activity):
-    from .characterize import behav_characterize, ppa_characterize
-    from .operators import build_netlist
-
-    net = build_netlist(kind)
     weights = cfg.proxy_weights()
     bm, pm = cfg.behav_metric, cfg.ppa_metric
 
     def fitness(config: AxoConfig):
-        behav = behav_characterize(kind, config, policy, seed=cfg.seed, netlist=net)
-        ppa = ppa_characterize(net, config, activity, seed=cfg.seed, weights=weights)
-        b = getattr(behav, bm) if hasattr(behav, bm) else getattr(ppa, bm)
-        p = getattr(ppa, pm) if hasattr(ppa, pm) else getattr(behav, pm)
-        return b, p
+        rec = characterize_dataset(kind, [config], policy, activity,
+                                   seed=cfg.seed, weights=weights).records[0]
+        return rec.metric(bm), rec.metric(pm)
 
     return fitness
 

@@ -230,7 +230,12 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
         else 1.0 / L
     rng = np.random.default_rng(np.random.SeedSequence((int(params.seed), 8)))
     cache: dict[int, tuple[float, float]] = {}
+    # feasible points evaluated since the last progress record; folded into
+    # the running front, which equals the front of the whole archive because
+    # dominance (with ties broken by the lowest UINT) is transitive
     archive: list[tuple[float, float, int]] = []
+    ppf = ParetoFront(())
+    feasible_uints: set[int] = set()
 
     def evaluate(configs: list[AxoConfig]) -> list[Individual]:
         missing = []
@@ -290,8 +295,12 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     ref = (constraints.b_max, constraints.p_max)
 
     def record_progress():
-        progress.append(hypervolume_2d(pareto_front(archive), ref))
-        feasible_counts.append(len({u for _, _, u in archive}))
+        nonlocal ppf
+        ppf = pareto_front(list(ppf.points) + archive)
+        feasible_uints.update(u for _, _, u in archive)
+        archive.clear()
+        progress.append(hypervolume_2d(ppf, ref))
+        feasible_counts.append(len(feasible_uints))
 
     fronts = _rank_population(population, constraints)
     for front in fronts:
@@ -333,7 +342,7 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
         population = survivors
         record_progress()
 
-    return pareto_front(archive), progress, feasible_counts
+    return ppf, progress, feasible_counts
 
 
 def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: ConstraintSpec,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from axokit import build_netlist, evaluate, parse_kind
+from axokit import build_netlist, characterize, evaluate, parse_kind
 from axokit.characterize import (
     ActivityPolicy,
     Exhaustive,
@@ -183,6 +183,27 @@ def test_dataset_thread_invariance(mul4):
         assert r1.ppa == r4.ppa
 
 
+@pytest.mark.parametrize("policy", [Exhaustive(), Sampled(300), Sampled(100, seed=5)])
+def test_dataset_blocks_match_single_config_calls(mul4, monkeypatch, policy):
+    # a small lane budget splits the configs over several blocks of each kind
+    monkeypatch.setattr(characterize, "BLOCK_LANES", 1024)
+    net = build_netlist(mul4)
+    cfgs = sample_configs(mul4, 23, seed=4)
+    ds = characterize_dataset(mul4, cfgs, policy, ActivityPolicy(200), seed=6)
+    assert [r.config for r in ds.records] == cfgs
+    for r in ds.records:
+        assert r.behav == behav_characterize(mul4, r.config, policy, seed=6, netlist=net)
+        assert r.ppa == ppa_characterize(net, r.config, ActivityPolicy(200), seed=6)
+
+
+def test_dataset_thread_invariance_across_blocks(adder8, monkeypatch):
+    monkeypatch.setattr(characterize, "BLOCK_LANES", 512)
+    cfgs = sample_configs(adder8, 30, seed=2)
+    runs = [characterize_dataset(adder8, cfgs, Sampled(130), ActivityPolicy(300),
+                                 seed=1, threads=t).records for t in (1, 2)]
+    assert runs[0] == runs[1]
+
+
 def test_metric_matrix_shape(adder4_char):
     mat = adder4_char.metric_matrix(["avg_abs_rel_err", "pdplut"])
     assert mat.shape == (16, 2)
@@ -278,4 +299,17 @@ def test_csv_uint_bits_cross_check(tmp_path, adder4_char):
     lines[5] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError):
+        import_csv(path)
+
+
+@pytest.mark.parametrize("column,value", [(2, "nan"), (5, "inf"), (10, "-inf")])
+def test_csv_rejects_non_finite_metric(tmp_path, adder4_char, column, value):
+    path = tmp_path / "bad.csv"
+    export_csv(adder4_char, path)
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"bad\.csv:4: non-finite"):
         import_csv(path)

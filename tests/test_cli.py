@@ -144,6 +144,11 @@ def test_exit_code_usage(tmp_path, pipe):
                "--out-dir", tmp_path / "a") == 2
     assert run("match", "--low", pipe / "l.csv", "--high", pipe / "h.csv",
                "--ppa-metric", "bogus", "-o", tmp_path / "t.csv") == 2
+    assert run("analyze", "--dataset", pipe / "h.csv", "--trend-metric", "nope",
+               "--out-dir", tmp_path / "a") == 2
+    assert not (tmp_path / "a").exists()
+    assert run("train", "--dataset", pipe / "h.csv", "--target", "bogus",
+               "-o", tmp_path / "m.fmodel") == 2
 
 
 def test_train_regressor_without_test_rows(tmp_path, capsys):

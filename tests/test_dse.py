@@ -99,6 +99,21 @@ def test_hypervolume_monotone_in_points(pts, nb, np_):
     assert hypervolume_2d(grown, ref).value >= hypervolume_2d(base, ref).value - 1e-12
 
 
+# a coarse grid forces ties and equal (b, p) pairs under different uints
+grid_point = st.tuples(st.integers(0, 4).map(float), st.integers(0, 4).map(float),
+                       st.integers(0, 20))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(grid_point, max_size=10), max_size=6))
+def test_running_front_matches_whole_archive(batches):
+    # run_ga folds each generation's points into the previous front
+    front = ParetoFront(())
+    for batch in batches:
+        front = pareto_front(list(front.points) + batch)
+    assert front == pareto_front([pt for batch in batches for pt in batch])
+
+
 def test_spread_subset_keeps_extremes():
     b = np.array([0.0, 0.1, 0.2, 0.5, 0.9])
     p = np.array([0.9, 0.6, 0.5, 0.2, 0.0])

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axokit import build_netlist, evaluate, parse_kind
 from axokit.operators import AxoConfig
 from axokit import simcore
-from axokit.simcore import evaluate_batch, gate_words
+from axokit.simcore import evaluate_batch, evaluate_configs, gate_words
 
 
 def test_gate_words_layout():
@@ -125,3 +126,43 @@ def test_operand_shape_validation():
         evaluate_batch(net, cfg, np.arange(4), np.arange(5))
     with pytest.raises(ValueError):
         evaluate_batch(net, cfg, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(token=st.sampled_from(["adder:u5", "mul:s4", "mul:s6"]),
+       k=st.integers(1, 5), lanes=st.integers(1, 300), shared=st.booleans(),
+       chunk=st.sampled_from([1 << 20, 150, 64]), seed=st.integers(0, 2**32 - 1))
+def test_block_matches_per_config(token, k, lanes, shared, chunk, seed):
+    """One block pass over k configs equals k single-config evaluations,
+    outputs and toggle counts, with shared or per-config operand rows and
+    with chunk splits inside each config's lanes."""
+    kind = parse_kind(token)
+    net = build_netlist(kind)
+    rng = np.random.default_rng(seed)
+    lo, hi = kind.operand_range()
+    cfgs = [AxoConfig(tuple(int(x) for x in rng.integers(0, 2, net.removable_count)))
+            for _ in range(k)]
+    shape = lanes if shared else (k, lanes)
+    a, b = rng.integers(lo, hi, size=shape), rng.integers(lo, hi, size=shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simcore, "CHUNK_LANES", chunk)
+        out, tog = evaluate_configs(net, cfgs, a, b, count_toggles=True)
+        plain = evaluate_configs(net, cfgs, a, b)
+    assert out.shape == (k, lanes) and tog.shape == (k,)
+    assert np.array_equal(plain, out)
+    for i, cfg in enumerate(cfgs):
+        ai, bi = (a, b) if shared else (a[i], b[i])
+        o, t = evaluate_batch(net, cfg, ai, bi, count_toggles=True)
+        assert np.array_equal(out[i], o)
+        assert tog[i] == t
+
+
+def test_block_operand_shape_validation():
+    net = build_netlist(parse_kind("adder:u4"))
+    cfgs = [AxoConfig.all_ones(4)] * 2
+    with pytest.raises(ValueError):
+        evaluate_configs(net, cfgs, np.zeros((3, 8)), np.zeros((3, 8)))
+    with pytest.raises(ValueError):
+        evaluate_configs(net, cfgs, np.zeros(8), np.zeros((2, 8)))
+    with pytest.raises(ValueError):
+        evaluate_configs(net, [AxoConfig.all_ones(5)], np.zeros(8), np.zeros(8))
