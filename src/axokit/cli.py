@@ -299,22 +299,23 @@ def cmd_supersample(args) -> int:
 # -- dse --------------------------------------------------------------
 
 def _proxy_fitness(kind, cfg, policy, activity):
+    """Batch GA fitness: ground-truth proxy characterization of each row."""
     weights = cfg.proxy_weights()
     bm, pm = cfg.behav_metric, cfg.ppa_metric
 
-    def fitness(config: AxoConfig):
-        rec = characterize_dataset(kind, [config], policy, activity,
-                                   seed=cfg.seed, weights=weights).records[0]
-        return rec.metric(bm), rec.metric(pm)
+    def fitness(bits: np.ndarray):
+        configs = [AxoConfig(tuple(row)) for row in bits.tolist()]
+        ds = characterize_dataset(kind, configs, policy, activity,
+                                  seed=cfg.seed, weights=weights)
+        return ds.metric_values(bm), ds.metric_values(pm)
 
     return fitness
 
 
 def _estimator_fitness(cfg, behav_model, ppa_model):
-    def fitness(config: AxoConfig):
-        X = np.asarray([config.bits], dtype=np.uint8)
-        return (float(predict_metric(behav_model, X)[0]),
-                float(predict_metric(ppa_model, X)[0]))
+    """Batch GA fitness: one prediction per estimator for all rows."""
+    def fitness(bits: np.ndarray):
+        return predict_metric(behav_model, bits), predict_metric(ppa_model, bits)
 
     return fitness
 
@@ -343,7 +344,7 @@ def cmd_dse(args) -> int:
     params = cfg.ga_params()
     t0 = time.perf_counter()
     ppf, progress, feas_counts = run_ga(kind, fitness, constraints, params,
-                                        initial_pool=pool, threads=cfg.threads)
+                                        initial_pool=pool, batch=True)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -68,15 +68,28 @@ def derive_constraints(train: CharDataset, factor: float,
 
 
 def pareto_mask(behav: np.ndarray, ppa: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated subset (minimize both)."""
-    n = behav.size
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        dom = (behav <= behav[i]) & (ppa <= ppa[i]) & ((behav < behav[i]) | (ppa < ppa[i]))
-        if dom.any():
-            mask[i] = False
+    """Boolean mask of the non-dominated subset (minimize both).
+
+    A point is dominated when another is no worse on both axes and better
+    on one, so every exact duplicate of a front point stays on the front.
+    Points with a NaN coordinate compare false both ways and are kept.
+    """
+    behav = np.asarray(behav, dtype=np.float64)
+    ppa = np.asarray(ppa, dtype=np.float64)
+    mask = np.ones(behav.size, dtype=bool)
+    idx = np.flatnonzero(~(np.isnan(behav) | np.isnan(ppa)))
+    if idx.size == 0:
+        return mask
+    order = idx[np.lexsort((ppa[idx], behav[idx]))]
+    b, p = behav[order], ppa[order]
+    # in (behav, ppa) order a point survives iff it has the least ppa of its
+    # behav group and beats the least ppa of every smaller behav
+    start = np.ones(b.size, dtype=bool)
+    start[1:] = b[1:] != b[:-1]
+    group = np.maximum.accumulate(np.where(start, np.arange(b.size), 0))
+    first = group == 0
+    before = np.minimum.accumulate(p)[np.maximum(group - 1, 0)]
+    mask[order] = (p == p[group]) & (first | (p < before))
     return mask
 
 

@@ -11,7 +11,6 @@ against a reference point.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .characterize import (
     characterize_dataset,
 )
 from .conss import ConssPool, ConstraintSpec, pareto_mask
+from .errors import SchemaError
 from .operators import AxoConfig, OperatorKind, config_length
 
 
@@ -45,9 +45,10 @@ class GaParams:
             raise ValueError("max_generations must be in [0, 250]")
 
 
-@dataclass
+@dataclass(eq=False)
 class Individual:
-    config: AxoConfig
+    bits: np.ndarray  # (L,) uint8 config row
+    uint: int
     behav: float
     ppa: float
     feasible: bool
@@ -161,21 +162,20 @@ def _crowding(pop: list[Individual], front: list[int]) -> None:
         for i in front:
             pop[i].crowding = np.inf
         return
-    for i in front:
-        pop[i].crowding = 0.0
+    crowd = np.zeros(len(front))
     for key in ("behav", "ppa"):
         vals = np.asarray([getattr(pop[i], key) for i in front])
         order = np.argsort(vals, kind="stable")
+        crowd[order[[0, -1]]] = np.inf
         span = vals[order[-1]] - vals[order[0]]
-        pop[front[order[0]]].crowding = np.inf
-        pop[front[order[-1]]].crowding = np.inf
         if span <= 0:
             continue
-        for j in range(1, len(front) - 1):
-            i = front[order[j]]
-            if np.isinf(pop[i].crowding):
-                continue
-            pop[i].crowding += (vals[order[j + 1]] - vals[order[j - 1]]) / span
+        mid = order[1:-1]
+        live = ~np.isinf(crowd[mid])
+        gap = vals[order[2:]] - vals[order[:-2]]
+        crowd[mid[live]] += gap[live] / span
+    for i, c in zip(front, crowd.tolist()):
+        pop[i].crowding = c
 
 
 def _tournament(pop: list[Individual], rng: np.random.Generator, k: int) -> Individual:
@@ -194,6 +194,23 @@ def _fix_all_zeros(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         bits = bits.copy()
         bits[int(rng.integers(bits.size))] = 1
     return bits
+
+
+def _uints(rows: np.ndarray) -> list[int]:
+    """UINT of each (L,) uint8 row, bit 0 least significant; exact for any L."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") for i in range(len(rows))]
+
+
+def _per_config(fitness):
+    """The batch contract over a per-config ``fitness(config) -> (behav, ppa)``,
+    called once per row in row order."""
+    def batch_fitness(bits: np.ndarray):
+        results = [fitness(AxoConfig(tuple(row))) for row in bits.tolist()]
+        return ([float(b) for b, _ in results], [float(p) for _, p in results])
+
+    return batch_fitness
 
 
 def _spread_subset(b: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
@@ -216,10 +233,17 @@ def _spread_subset(b: np.ndarray, p: np.ndarray, k: int) -> np.ndarray:
 
 def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
            params: GaParams = GaParams(), initial_pool: ConssPool | None = None,
-           threads: int = 1):
+           threads: int = 1, *, batch: bool = False):
     """Generational constrained GA.
 
-    fitness(config) -> (behav, ppa) must be pure and deterministic.
+    With ``batch=True``, ``fitness(bits)`` takes an (n, L) uint8 array of
+    config rows (bit 0 first) and returns (behav, ppa), each of length n;
+    it is called once per generation, on the configs not evaluated before.
+    Otherwise ``fitness(config) -> (behav, ppa)`` is called once per new
+    AxoConfig.  Either way it must be pure and deterministic, and the run
+    does not depend on how configs are batched.  ``threads`` is accepted
+    for compatibility and has no effect.
+
     Returns (ppf, progress, feasible_counts): the Pareto front over every
     feasible individual ever evaluated, one HypervolumeResult per
     generation (index 0 = initial population) over that cumulative
@@ -228,6 +252,8 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     L = config_length(kind)
     mut_p = params.mutation_prob_per_bit if params.mutation_prob_per_bit is not None \
         else 1.0 / L
+    if not batch:
+        fitness = _per_config(fitness)
     rng = np.random.default_rng(np.random.SeedSequence((int(params.seed), 8)))
     cache: dict[int, tuple[float, float]] = {}
     # feasible points evaluated since the last progress record; folded into
@@ -237,47 +263,41 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     ppf = ParetoFront(())
     feasible_uints: set[int] = set()
 
-    def evaluate(configs: list[AxoConfig]) -> list[Individual]:
-        missing = []
-        seen = set()
-        for c in configs:
-            if c.uint not in cache and c.uint not in seen:
-                missing.append(c)
-                seen.add(c.uint)
-        if threads > 1 and len(missing) > 1:
-            with cf.ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fitness, missing))
-        else:
-            results = [fitness(c) for c in missing]
-        for c, (bv, pv) in zip(missing, results):
-            cache[c.uint] = (float(bv), float(pv))
+    def evaluate(rows: np.ndarray) -> list[Individual]:
+        uints = _uints(rows)
+        missing: dict[int, int] = {}  # uint -> first row holding it
+        for i, u in enumerate(uints):
+            if u not in cache and u not in missing:
+                missing[u] = i
+        if missing:
+            bv, pv = fitness(rows[list(missing.values())])
+            cache.update(zip(missing, zip(np.asarray(bv, dtype=np.float64).tolist(),
+                                          np.asarray(pv, dtype=np.float64).tolist())))
         out = []
-        for c in configs:
-            bv, pv = cache[c.uint]
-            ind = Individual(c, bv, pv, constraints.feasible(bv, pv))
+        for row, u in zip(rows, uints):
+            bv, pv = cache[u]
+            ind = Individual(row, u, bv, pv, constraints.feasible(bv, pv))
             if ind.feasible:
-                archive.append((bv, pv, c.uint))
+                archive.append((bv, pv, u))
             out.append(ind)
         return out
 
-    def random_config() -> AxoConfig:
+    def random_config() -> np.ndarray:
         bits = (rng.random(L) < 0.5).astype(np.uint8)
-        bits = _fix_all_zeros(bits, rng)
-        return AxoConfig(tuple(int(x) for x in bits))
+        return _fix_all_zeros(bits, rng)
 
     # initial population: ConSS pool joins random configs. A pool that fits
     # enters whole; an oversized pool contributes at most half the
     # population (predicted-front subset preferred, crowding-pruned) so the
     # random complement keeps early exploration alive.
-    init: list[AxoConfig] = []
+    init: list[np.ndarray] = []
     if initial_pool is not None and len(initial_pool):
         pool_cfgs = list(initial_pool.configs)
         if len(pool_cfgs) > params.population_size:
             share = max(1, params.population_size // 2)
             if initial_pool.predicted:
-                keys = list(initial_pool.predicted)
-                bm = np.asarray(initial_pool.predicted[keys[0]], dtype=np.float64)
-                pm = np.asarray(initial_pool.predicted[keys[1]], dtype=np.float64)
+                bm, pm = (_pool_predictions(initial_pool, m)
+                          for m in (constraints.behav_metric, constraints.ppa_metric))
                 mask = pareto_mask(bm, pm)
                 front = np.flatnonzero(mask)
                 if len(front) > share:
@@ -285,11 +305,11 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
                 pool_cfgs = [pool_cfgs[i] for i in front]
             else:
                 pool_cfgs = pool_cfgs[:share]
-        init = pool_cfgs[: params.population_size]
+        init = [np.asarray(c.bits, dtype=np.uint8) for c in pool_cfgs[: params.population_size]]
     while len(init) < params.population_size:
         init.append(random_config())
 
-    population = evaluate(init)
+    population = evaluate(np.stack(init))
     progress: list[HypervolumeResult] = []
     feasible_counts: list[int] = []
     ref = (constraints.b_max, constraints.p_max)
@@ -308,12 +328,10 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     record_progress()
 
     for _ in range(params.max_generations):
-        children: list[AxoConfig] = []
+        children: list[np.ndarray] = []
         while len(children) < params.population_size:
-            p1 = _tournament(population, rng, params.tournament_k)
-            p2 = _tournament(population, rng, params.tournament_k)
-            b1 = np.asarray(p1.config.bits, dtype=np.uint8)
-            b2 = np.asarray(p2.config.bits, dtype=np.uint8)
+            b1 = _tournament(population, rng, params.tournament_k).bits
+            b2 = _tournament(population, rng, params.tournament_k).bits
             if L > 1 and rng.random() < params.crossover_prob:
                 cut = int(rng.integers(1, L))
                 c1 = np.concatenate([b1[:cut], b2[cut:]])
@@ -321,12 +339,11 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
             else:
                 c1, c2 = b1.copy(), b2.copy()
             for c in (c1, c2):
-                flip = rng.random(L) < mut_p
-                c ^= flip.astype(np.uint8)
+                c ^= rng.random(L) < mut_p
                 c = _fix_all_zeros(c, rng)
                 if len(children) < params.population_size:
-                    children.append(AxoConfig(tuple(int(x) for x in c)))
-        offspring = evaluate(children)
+                    children.append(c)
+        offspring = evaluate(np.stack(children))
         combined = population + offspring
         fronts = _rank_population(combined, constraints)
         survivors: list[Individual] = []
@@ -343,6 +360,13 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
         record_progress()
 
     return ppf, progress, feasible_counts
+
+
+def _pool_predictions(pool: ConssPool, metric: str) -> np.ndarray:
+    if metric not in pool.predicted:
+        raise SchemaError(f"initial pool has predictions for {', '.join(sorted(pool.predicted))}"
+                          f", not for the search metric {metric}")
+    return np.asarray(pool.predicted[metric], dtype=np.float64)
 
 
 def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: ConstraintSpec,

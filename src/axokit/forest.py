@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,8 @@ from .errors import ModelFormatError, WidthMismatchError
 from .matching import TrainingSet
 
 MODEL_MAGIC = "axokit-forest-v1"
+PARAM_KEYS = ("n_trees", "max_depth", "min_samples_leaf", "features_per_split",
+              "bootstrap", "seed")
 
 _TAG_TREE = 5
 _TAG_SPLIT = 6
@@ -78,34 +80,12 @@ class TrainReport:
 
 @dataclass
 class _Tree:
+    """One tree's node table, as trained and as stored in a model file."""
+
     feature: np.ndarray  # (nodes,) int32, -1 at leaves
     left: np.ndarray
     right: np.ndarray
     payload: np.ndarray  # (nodes, payload_width), leaf rows meaningful
-    _py: tuple | None = field(default=None, repr=False, compare=False)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[0] <= 4:
-            # per-row walk beats level-wise vectorization on tiny batches
-            if self._py is None:
-                self._py = (self.feature.tolist(), self.left.tolist(), self.right.tolist())
-            feat, left, right = self._py
-            out = np.empty(X.shape[0], dtype=np.int32)
-            for i, row in enumerate(X.tolist()):
-                n = 0
-                while feat[n] >= 0:
-                    n = right[n] if row[feat[n]] else left[n]
-                out[i] = n
-            return out
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            f = self.feature[node]
-            live = f >= 0
-            if not live.any():
-                return node
-            rows = np.nonzero(live)[0]
-            go_right = X[rows, f[rows]] > 0
-            node[rows] = np.where(go_right, self.right[node[rows]], self.left[node[rows]])
 
 
 class ForestModel:
@@ -117,6 +97,25 @@ class ForestModel:
         self.payload_width = payload_width
         self.trees = trees
         self.meta = dict(meta or {})
+        self._flatten()
+
+    def _flatten(self) -> None:
+        # One node table for the whole forest: trees concatenated, child
+        # indices offset.  Leaves point at themselves (and test feature 0),
+        # so a walk can run a fixed number of levels without a leaf test.
+        sizes = [t.feature.size for t in self.trees]
+        self._roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        offsets = np.repeat(self._roots, sizes)
+        feature = np.concatenate([t.feature for t in self.trees]).astype(np.intp)
+        leaf = feature < 0
+        own = np.arange(feature.size, dtype=np.intp)
+        left = np.concatenate([t.left for t in self.trees]) + offsets
+        right = np.concatenate([t.right for t in self.trees]) + offsets
+        self._feature = np.where(leaf, 0, feature)
+        # children[2 * node + bit]: the node reached from ``node`` on input bit
+        self._children = np.stack([np.where(leaf, own, left),
+                                   np.where(leaf, own, right)], axis=1).ravel()
+        self._depth = _forest_depth(self._roots, feature, left, right)
 
     @property
     def output_width(self) -> int:
@@ -129,13 +128,37 @@ class ForestModel:
             )
 
     def predict_values(self, X: np.ndarray) -> np.ndarray:
-        """Mean leaf payload over trees; (n, payload_width)."""
+        """Mean leaf payload over trees; (n, payload_width).
+
+        All (row, tree) pairs descend one level per step.  Leaf payloads are
+        then summed in tree order, so the result matches adding up each
+        tree's prediction in turn, bit for bit.
+        """
         X = np.ascontiguousarray(X, dtype=np.uint8)
         self._check_width(X)
-        acc = np.zeros((X.shape[0], self.payload_width), dtype=np.float64)
-        for t in self.trees:
-            acc += t.payload[t.apply(X)]
-        return acc / len(self.trees)
+        n, n_trees = X.shape[0], len(self.trees)
+        node = np.tile(self._roots, n)  # (row, tree) pairs, row-major
+        bit_at = np.repeat(np.arange(n, dtype=np.intp) * self.input_width, n_trees)
+        x = X.ravel() != 0
+        for _ in range(self._depth):
+            node = self._children[2 * node + x[bit_at + self._feature[node]]]
+        leaves = node.reshape(n, n_trees) - self._roots  # node ids within each tree
+        acc = np.zeros((n, self.payload_width), dtype=np.float64)
+        for t, tree in enumerate(self.trees):
+            acc += tree.payload[leaves[:, t]]
+        return acc / n_trees
+
+
+def _forest_depth(roots: np.ndarray, feature: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> int:
+    """Levels from the roots to the deepest leaf."""
+    depth = 0
+    frontier = roots[feature[roots] >= 0]
+    while frontier.size:
+        depth += 1
+        kids = np.concatenate([left[frontier], right[frontier]])
+        frontier = kids[feature[kids] >= 0]
+    return depth
 
 
 def _gini_total(counts: np.ndarray, n: int) -> float:
@@ -411,6 +434,9 @@ def load_model(path) -> ForestModel:
     input_width = int(take(2, "input_width"))
     payload_width = int(take(3, "payload_width"))
     pfields = dict(tok.split(":", 1) for tok in take(4, "params").split(","))
+    missing = [k for k in PARAM_KEYS if k not in pfields]
+    if missing:
+        raise ModelFormatError(f"{path}: params= line lacks {', '.join(missing)}")
     fps: str | int = pfields["features_per_split"]
     if fps not in ("sqrt", "all"):
         fps = int(fps)
@@ -425,20 +451,43 @@ def load_model(path) -> ForestModel:
     meta_line = take(5, "meta")
     meta = dict(tok.split(":", 1) for tok in meta_line.split()) if meta_line else {}
     n_trees = int(take(6, "n_trees"))
+    if n_trees < 1:
+        raise ModelFormatError(f"{path}: n_trees={n_trees}, need at least 1")
     trees = []
     i = 7
     try:
-        for _ in range(n_trees):
+        for t in range(n_trees):
             head = take(i, "tree")
             n_nodes = int(head.split("nodes=")[1])
             feature = np.asarray(take(i + 1, "feature").split(), dtype=np.int32)
             left = np.asarray(take(i + 2, "left").split(), dtype=np.int32)
             right = np.asarray(take(i + 3, "right").split(), dtype=np.int32)
             payload = np.asarray(take(i + 4, "payload").split(), dtype=np.float64)
-            if feature.size != n_nodes or payload.size != n_nodes * payload_width:
+            if (n_nodes < 1 or feature.size != n_nodes or left.size != n_nodes
+                    or right.size != n_nodes or payload.size != n_nodes * payload_width):
                 raise ModelFormatError(f"{path}: tree block size mismatch at line {i + 1}")
+            _check_nodes(path, t, feature, left, right, input_width)
             trees.append(_Tree(feature, left, right, payload.reshape(n_nodes, payload_width)))
             i += 5
     except (ValueError, IndexError) as e:
         raise ModelFormatError(f"{path}: malformed tree block: {e}") from e
     return ForestModel(kind, params, input_width, payload_width, trees, meta)
+
+
+def _check_nodes(path, t: int, feature: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, input_width: int) -> None:
+    """Reject a node table that a walk could leave or loop in: an internal
+    node tests an input bit and both its children come after it; a leaf
+    holds -1 in all three fields."""
+    idx = np.arange(feature.size)
+    leaf = feature < 0
+    bad_leaf = leaf & ((feature != -1) | (left != -1) | (right != -1))
+    bad_node = ~leaf & ((feature >= input_width) | (left <= idx) | (right <= idx)
+                        | (left >= feature.size) | (right >= feature.size))
+    bad = np.flatnonzero(bad_leaf | bad_node)
+    if bad.size:
+        j = int(bad[0])
+        raise ModelFormatError(
+            f"{path}: tree {t} node {j} is malformed (feature={feature[j]}, "
+            f"left={left[j]}, right={right[j]}, {input_width} input bits, "
+            f"{feature.size} nodes)")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -127,7 +127,7 @@ class AxoConfig:
     def __len__(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def uint(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
 

@@ -201,3 +201,46 @@ def test_version_and_help():
     with pytest.raises(SystemExit) as e:
         run("--version")
     assert e.value.code == 0
+
+
+def test_dse_proxy_fitness_batches_like_single_configs(pipe, tmp_path, monkeypatch):
+    from axokit import cli
+
+    args = ("dse", "--train", pipe / "h.csv", "--factor", 0.7, "--pop", 10,
+            "--generations", 3, "--behav-samples", 2048, "--validate",
+            "--known", pipe / "h.csv")
+    batched, single = tmp_path / "batched", tmp_path / "single"
+    assert run(*args, "--out-dir", batched) == 0
+    make = cli._proxy_fitness
+
+    def one_config_per_call(*a, **k):
+        fitness = make(*a, **k)
+
+        def per_row(bits):
+            parts = [fitness(bits[i:i + 1]) for i in range(len(bits))]
+            return (np.concatenate([b for b, _ in parts]),
+                    np.concatenate([p for _, p in parts]))
+
+        return per_row
+
+    monkeypatch.setattr(cli, "_proxy_fitness", one_config_per_call)
+    assert run(*args, "--out-dir", single) == 0
+    names = sorted(p.name for p in batched.iterdir())
+    assert names == sorted(p.name for p in single.iterdir())
+    assert "vpf.csv" in names
+    for name in names:
+        assert (batched / name).read_bytes() == (single / name).read_bytes(), name
+
+
+def test_dse_pool_predictions_follow_the_search_metrics(pipe, tmp_path):
+    est = f"{pipe / 'be.fmodel'},{pipe / 'pe.fmodel'}"
+    same = ("--behav-metric", "pdplut", "--ppa-metric", "pdplut")
+    pool = tmp_path / "pool.csv"
+    assert run("supersample", "--model", pipe / "clf.fmodel", "--low", pipe / "l.csv",
+               "--factor", 0.6, "--estimators", est, *same, "-o", pool) == 0
+    dse = ("dse", "--train", pipe / "h.csv", "--factor", 0.7, "--pop", 2,
+           "--generations", 1, "--init", pool, "--estimators", est)
+    # a pool predicted for one metric seeds a search on that metric twice
+    assert run(*dse, *same, "--out-dir", tmp_path / "same") == 0
+    # and cannot seed a search on a metric it has no predictions for
+    assert run(*dse, "--out-dir", tmp_path / "other") == 3

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axokit import (
     AxoConfig,
@@ -119,6 +120,37 @@ def test_pareto_mask_brute_force(rng):
             for j in range(80)
         )
         assert mask[i] == (not dominated)
+
+
+def loop_pareto_mask(behav, ppa):
+    """The per-point scan that the sort-and-scan pareto_mask replaced."""
+    mask = np.ones(behav.size, dtype=bool)
+    for i in range(behav.size):
+        dom = (behav <= behav[i]) & (ppa <= ppa[i]) & ((behav < behav[i]) | (ppa < ppa[i]))
+        if dom.any():
+            mask[i] = False
+    return mask
+
+
+# a coarse grid forces ties and exact duplicates; the specials cover signed
+# zeros, infinities and NaN
+coord = st.one_of(st.integers(0, 3).map(float),
+                  st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                  st.floats(allow_nan=False, width=32))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(coord, coord), max_size=40))
+def test_pareto_mask_matches_pairwise_scan(pts):
+    b = np.asarray([x for x, _ in pts], dtype=np.float64)
+    p = np.asarray([y for _, y in pts], dtype=np.float64)
+    assert pareto_mask(b, p).tolist() == loop_pareto_mask(b, p).tolist()
+
+
+def test_pareto_mask_keeps_exact_duplicates():
+    b = np.array([1.0, 1.0, 0.5, 2.0, 1.0])
+    p = np.array([1.0, 1.0, 2.0, 0.5, 1.5])
+    assert pareto_mask(b, p).tolist() == [True, True, True, True, False]
 
 
 def test_supersample_pool_shape(bit_model, adder4_char, adder8):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axokit import AxoConfig, OperatorKind, Family
-from axokit.characterize import ActivityPolicy, Exhaustive
+from axokit import AxoConfig, OperatorKind, Family, SchemaError, enumerate_configs
+from axokit.characterize import ActivityPolicy, Exhaustive, Sampled, characterize_dataset
 from axokit.conss import ConssPool, ConstraintSpec, derive_constraints
 from axokit.dse import (
     GaParams,
+    Individual,
     ParetoFront,
+    _crowding,
     _spread_subset,
     compare_hypervolumes,
     hypervolume_2d,
@@ -17,6 +19,7 @@ from axokit.dse import (
     run_ga,
     validate_front,
 )
+from axokit.forest import ForestParams, predict_metric, train_regressor
 
 FREE = ConstraintSpec(1e9, 1e9, 1.0, "behav", "ppa", "test")
 
@@ -266,3 +269,95 @@ def test_compare_hypervolumes():
     assert rows[1][2] == pytest.approx(0.43 / 0.48)
     rows2 = compare_hypervolumes({"only": f2}, spec)
     assert np.isnan(rows2[0][2])
+
+
+def old_crowding(pop, front):
+    """The per-point crowding loop that the vectorized one replaced."""
+    if len(front) <= 2:
+        for i in front:
+            pop[i].crowding = np.inf
+        return
+    for i in front:
+        pop[i].crowding = 0.0
+    for key in ("behav", "ppa"):
+        vals = np.asarray([getattr(pop[i], key) for i in front])
+        order = np.argsort(vals, kind="stable")
+        span = vals[order[-1]] - vals[order[0]]
+        pop[front[order[0]]].crowding = np.inf
+        pop[front[order[-1]]].crowding = np.inf
+        if span <= 0:
+            continue
+        for j in range(1, len(front) - 1):
+            i = front[order[j]]
+            if np.isinf(pop[i].crowding):
+                continue
+            pop[i].crowding += (vals[order[j + 1]] - vals[order[j - 1]]) / span
+
+
+coarse = st.integers(0, 3).map(float)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.one_of(coarse, unit), st.one_of(coarse, unit)),
+                min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+def test_crowding_matches_per_point_loop(pts, rnd):
+    def population():
+        return [Individual(np.ones(1, dtype=np.uint8), 1, b, p, True) for b, p in pts]
+
+    # a front is any subset of the population, in any order
+    front = rnd.sample(range(len(pts)), rnd.randint(1, len(pts)))
+    got, want = population(), population()
+    _crowding(got, front)
+    old_crowding(want, front)
+    assert [np.float64(x.crowding).tobytes() for x in got] == \
+        [np.float64(x.crowding).tobytes() for x in want]
+
+
+def test_ga_batch_fitness_matches_per_config(mul4):
+    ds = characterize_dataset(mul4, list(enumerate_configs(mul4, include_all_zeros=False))[::4],
+                              Sampled(512), ActivityPolicy(128), seed=0)
+    rb, _ = train_regressor(ds, "avg_abs_rel_err", ForestParams(n_trees=8, seed=0))
+    rp, _ = train_regressor(ds, "pdplut", ForestParams(n_trees=8, seed=0))
+    spec = derive_constraints(ds, 0.6)
+    params = GaParams(population_size=20, max_generations=15, seed=4)
+
+    singles = []
+
+    def per_config(cfg):
+        singles.append(cfg.uint)
+        x = np.asarray([cfg.bits], dtype=np.uint8)
+        return float(predict_metric(rb, x)[0]), float(predict_metric(rp, x)[0])
+
+    calls = []
+
+    def batch(bits):
+        calls.append(len(bits))
+        return predict_metric(rb, bits), predict_metric(rp, bits)
+
+    want = run_ga(mul4, per_config, spec, params)
+    got = run_ga(mul4, batch, spec, params, batch=True)
+    assert got[0] == want[0]
+    assert [h.value for h in got[1]] == [h.value for h in want[1]]
+    assert got[2] == want[2]
+    # at most one call per generation, together on each new config once
+    assert len(calls) <= params.max_generations + 1
+    assert sum(calls) == len(singles) == len(set(singles))
+
+
+def test_ga_pool_reads_predictions_by_metric(adder8):
+    uints = list(range(10, 70, 2))
+    cfgs = [AxoConfig.from_uint(u, 8) for u in uints]
+    pred = {"m": np.asarray([u / 256.0 for u in uints])}
+    pool = ConssPool(adder8, cfgs, [(0, 0)] * len(cfgs), "conss", predicted=pred)
+    same = ConstraintSpec(1e9, 1e9, 1.0, "m", "m", "test")
+    ppf, _, _ = run_ga(adder8, staircase_fitness, same,
+                       GaParams(population_size=10, max_generations=0, seed=0),
+                       initial_pool=pool)
+    # both axes read the one prediction: only the smallest config is on its front
+    assert uints[0] in ppf.uints()
+    with pytest.raises(SchemaError, match="ppa"):
+        run_ga(adder8, staircase_fitness, FREE,
+               GaParams(population_size=10, max_generations=0, seed=0),
+               initial_pool=ConssPool(adder8, cfgs, [(0, 0)] * len(cfgs), "conss",
+                                      predicted={"behav": pred["m"]}))

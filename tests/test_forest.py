@@ -1,7 +1,13 @@
 """Random forest classifier and regressors built from scratch."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axokit import ModelFormatError, WidthMismatchError
 from axokit.forest import (
@@ -228,3 +234,157 @@ def test_regressor_grid(adder4_char):
     assert params.max_depth in GRID_DEPTHS
     assert rep.rmse_test is not None
     assert model.kind == "regressor"
+
+
+# -- flat forest walk ----------------------------------------------------
+
+def per_tree_reference(model, X):
+    """The per-tree walk and sum that the flat walk replaced."""
+    acc = np.zeros((X.shape[0], model.payload_width))
+    for t in model.trees:
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for i, row in enumerate(X):
+            while t.feature[node[i]] >= 0:
+                f = t.feature[node[i]]
+                node[i] = t.right[node[i]] if row[f] > 0 else t.left[node[i]]
+        acc += t.payload[node]
+    return acc / len(model.trees)
+
+
+def stump(feature, lo, hi):
+    return _Tree(
+        feature=np.asarray([feature, -1, -1], dtype=np.int32),
+        left=np.asarray([1, -1, -1], dtype=np.int32),
+        right=np.asarray([2, -1, -1], dtype=np.int32),
+        payload=np.asarray([[0.0], [lo], [hi]]),
+    )
+
+
+def flat_models():
+    t = memorizable_set()
+    clf, _ = train_classifier(t, ForestParams(n_trees=7, max_depth=None, seed=3))
+    rng = np.random.default_rng(0)
+    X = (rng.random((300, 9)) < 0.5).astype(np.uint8)
+    Y = (rng.random((300, 3)) < 0.3).astype(np.uint8)
+    deep, _ = train_classifier(TrainingSet(X, Y, 0),
+                               ForestParams(n_trees=5, max_depth=None, features_per_split=3,
+                                            seed=1))
+    mixed = ForestModel("regressor", ForestParams(n_trees=4), 4, 1,
+                        [leaf_tree(0.1), stump(2, 0.3, 0.7), leaf_tree(0.2),
+                         stump(0, 1e-17, 1e17)])
+    return [clf, deep, mixed]
+
+
+FLAT_MODELS = flat_models()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(FLAT_MODELS))), st.integers(0, 300),
+       st.integers(0, 2**32 - 1))
+def test_flat_walk_matches_per_tree_sum(which, n, seed):
+    model = FLAT_MODELS[which]
+    X = (np.random.default_rng(seed).random((n, model.input_width)) < 0.5).astype(np.uint8)
+    got = model.predict_values(X)
+    want = per_tree_reference(model, X)
+    assert got.shape == (n, model.payload_width)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_flat_walk_tiny_batches(n):
+    for model in FLAT_MODELS:
+        X = np.ones((n, model.input_width), dtype=np.uint8)
+        assert model.predict_values(X).tobytes() == per_tree_reference(model, X).tobytes()
+
+
+def test_flat_walk_regressor_matches_per_tree_sum(adder8_char):
+    model, _ = train_regressor(adder8_char, "pdplut", ForestParams(n_trees=6, seed=2))
+    X = adder8_char.config_matrix()
+    assert model.predict_values(X).tobytes() == per_tree_reference(model, X).tobytes()
+
+
+# -- node-table validation -----------------------------------------------
+
+def saved_model_lines(tmp_path):
+    model, _ = train_classifier(memorizable_set(), ForestParams(n_trees=2, seed=0))
+    p = tmp_path / "m.fmodel"
+    save_model(model, p)
+    return p.read_text().splitlines()
+
+
+def write_with_checksum(path, lines):
+    body = "\n".join(lines[:-1]) + "\n"
+    path.write_text(body + "checksum=" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+
+
+def edit_field(lines, key, index, value):
+    """Set entry ``index`` of the first ``key=`` line."""
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(key + "="))
+    vals = lines[i][len(key) + 1:].split()
+    vals[index] = str(value)
+    lines[i] = key + "=" + " ".join(vals)
+    return lines
+
+
+def test_load_rejects_feature_out_of_range(tmp_path):
+    lines = edit_field(saved_model_lines(tmp_path), "feature", 0, 4)  # 4 input bits
+    write_with_checksum(tmp_path / "bad.fmodel", lines)
+    with pytest.raises(ModelFormatError, match="node 0"):
+        load_model(tmp_path / "bad.fmodel")
+
+
+def test_load_rejects_child_past_the_table(tmp_path):
+    lines = saved_model_lines(tmp_path)
+    n_nodes = int(lines[7].split("nodes=")[1])
+    write_with_checksum(tmp_path / "bad.fmodel", edit_field(lines, "right", 0, n_nodes))
+    with pytest.raises(ModelFormatError, match="node 0"):
+        load_model(tmp_path / "bad.fmodel")
+
+
+def test_load_rejects_leaf_with_children(tmp_path):
+    lines = saved_model_lines(tmp_path)
+    feature = lines[8][len("feature="):].split()
+    leaf = feature.index("-1")
+    write_with_checksum(tmp_path / "bad.fmodel", edit_field(lines, "left", leaf, 0))
+    with pytest.raises(ModelFormatError, match=f"node {leaf}"):
+        load_model(tmp_path / "bad.fmodel")
+
+
+def test_load_rejects_params_without_all_keys(tmp_path):
+    lines = saved_model_lines(tmp_path)
+    assert lines[4].startswith("params=")
+    lines[4] = ",".join(tok for tok in lines[4].split(",") if not tok.startswith("seed:"))
+    write_with_checksum(tmp_path / "bad.fmodel", lines)
+    with pytest.raises(ModelFormatError, match="seed"):
+        load_model(tmp_path / "bad.fmodel")
+
+
+def test_load_rejects_forest_without_trees(tmp_path):
+    lines = saved_model_lines(tmp_path)
+    assert lines[6].startswith("n_trees=")
+    write_with_checksum(tmp_path / "empty.fmodel", lines[:6] + ["n_trees=0", lines[-1]])
+    with pytest.raises(ModelFormatError, match="n_trees"):
+        load_model(tmp_path / "empty.fmodel")
+
+
+def test_load_rejects_cyclic_tree_without_hanging(tmp_path):
+    # the root's left child pointing back at the root: a walk would loop
+    write_with_checksum(tmp_path / "cyclic.fmodel",
+                        edit_field(saved_model_lines(tmp_path), "left", 0, 0))
+    code = (
+        "import sys, numpy as np\n"
+        "from axokit import ModelFormatError\n"
+        "from axokit.forest import load_model\n"
+        "try:\n"
+        "    m = load_model(sys.argv[1])\n"
+        "except ModelFormatError:\n"
+        "    sys.exit(3)\n"
+        "m.predict_values(np.zeros((1, m.input_width), dtype=np.uint8))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cyclic.fmodel")],
+                           env=env, timeout=60, capture_output=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a cyclic node table loaded and its prediction did not finish")
+    assert r.returncode == 3, r.stderr.decode()
