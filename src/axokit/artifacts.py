@@ -2,8 +2,9 @@
 
 Tabular artifacts are UTF-8 text: ``# k=v ...`` preamble lines, a header
 line, then comma-separated rows.  Floats are written with 17 significant
-digits, so every double round-trips exactly.  Every file goes out through
-:func:`write_lines`, which replaces the target atomically.
+digits, so every double round-trips exactly.  Run manifests are plain
+``k=v`` lines.  Every file goes out through :func:`write_lines`, which
+replaces the target atomically.
 """
 
 from __future__ import annotations
@@ -56,3 +57,18 @@ def read_artifact(path) -> tuple[dict[str, str], list[str], int]:
             meta[k] = v
         i += 1
     return meta, lines, i
+
+
+def read_manifest(path, required=()) -> dict[str, str]:
+    """Read ``k=v`` lines, skipping blank ones; a line without ``=`` or a
+    missing ``required`` key raises SchemaError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    bad = [ln for ln in lines if "=" not in ln]
+    if bad:
+        raise SchemaError(f"{path}: expected key=value, got {bad[0]!r}")
+    out = dict(ln.split("=", 1) for ln in lines)
+    missing = [k + "=" for k in required if k not in out]
+    if missing:
+        raise SchemaError(f"{path}: missing {', '.join(missing)}")
+    return out

@@ -12,12 +12,11 @@ downstream module unchanged.
 Every path goes through one block body: configs are simulated in blocks
 of at most ``BLOCK_LANES`` lanes (see :mod:`axokit.simcore`), while each
 record keeps its own RNG streams, so a record never depends on which
-block or thread computed it.
+block computed it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -57,7 +56,7 @@ PROVENANCE_PROXY = "proxy_model"
 PROVENANCE_IMPORTED = "imported_external"
 
 # RNG stream tags; every per-record stream is SeedSequence((seed, tag, uint))
-# so results are independent of evaluation order and thread count.
+# so results are independent of evaluation order and block grouping.
 _TAG_BEHAV = 0
 _TAG_ACTIVITY = 1
 
@@ -430,13 +429,13 @@ def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
                          seed: int = 0, weights: ProxyWeights = ProxyWeights(),
                          threads: int = 1,
                          provenance: str = PROVENANCE_PROXY) -> CharDataset:
-    """Characterize many configs; order preserved, bit-identical at any
-    thread count (per-record RNG streams never depend on scheduling).
+    """Characterize many configs; order preserved.
 
     Configs are simulated in blocks of at most BLOCK_LANES lanes, BEHAV
-    and activity separately; ``threads > 1`` spreads the blocks over a
-    thread pool.  The exhaustive operand grid and its exact results are
-    built once per call.
+    and activity separately; per-record RNG streams make every record
+    independent of its block.  The exhaustive operand grid and its exact
+    results are built once per call.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     configs = list(configs)
     if not configs:
@@ -450,24 +449,10 @@ def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
     grid = _exhaustive_inputs(kind, input_policy)
     _check_activity(activity_policy)
     behav_lanes = grid[0].size if grid is not None else input_policy.n
-    behav_blocks = _blocks(configs, behav_lanes)
-    ppa_blocks = _blocks(configs, activity_policy.cycles)
-
-    def behav(block):
-        return _behav_block(net, block, input_policy, seed, grid)
-
-    def ppa(block):
-        return _ppa_block(net, block, activity_policy, seed, weights)
-
-    if threads > 1:
-        with cf.ThreadPoolExecutor(max_workers=threads) as pool:
-            behav_parts = list(pool.map(behav, behav_blocks))
-            ppa_parts = list(pool.map(ppa, ppa_blocks))
-    else:
-        behav_parts = [behav(blk) for blk in behav_blocks]
-        ppa_parts = [ppa(blk) for blk in ppa_blocks]
-    behavs = [m for part in behav_parts for m in part]
-    ppas = [m for part in ppa_parts for m in part]
+    behavs = [m for blk in _blocks(configs, behav_lanes)
+              for m in _behav_block(net, blk, input_policy, seed, grid)]
+    ppas = [m for blk in _blocks(configs, activity_policy.cycles)
+            for m in _ppa_block(net, blk, activity_policy, seed, weights)]
     records = [CharRecord(c, bm, pm) for c, bm, pm in zip(configs, behavs, ppas)]
     meta = {
         "provenance": provenance,

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .artifacts import fmt, preamble, write_lines
+from .artifacts import fmt, preamble, read_artifact, read_manifest, write_lines
 from .characterize import (
     METRICS,
     ActivityPolicy,
@@ -38,7 +38,14 @@ from .conss import (
     select_seeds,
     supersample,
 )
-from .dse import ParetoFront, hypervolume_2d, pareto_front, run_ga, validate_front
+from .dse import (
+    ParetoFront,
+    feasible_front,
+    hypervolume_2d,
+    pareto_front,
+    run_ga,
+    validate_front,
+)
 from .errors import (
     CapacityError,
     DuplicateConfigError,
@@ -68,13 +75,15 @@ from .runconfig import load_runconfig
 from .stats import (
     DistanceKind,
     distance_histogram,
-    elbow_select,
+    elbow_pick,
     kmeans,
     minmax_scale,
+    sse_curve,
     windowed_trend,
 )
 
 EXHAUSTIVE_DEFAULT_BITS = 16
+FRONT_HEADER = "config_bits,config_uint,behav,ppa"
 
 
 class UsageError(Exception):
@@ -113,7 +122,7 @@ def _default_input_policy(kind, args, cfg):
 # -- characterize -----------------------------------------------------
 
 def cmd_characterize(args) -> int:
-    cfg = load_runconfig(args.config, {"seed": args.seed, "threads": args.threads,
+    cfg = load_runconfig(args.config, {"seed": args.seed,
                                        "activity_cycles": args.activity_cycles})
     kind = parse_kind(args.op)
     if args.sample is not None:
@@ -126,7 +135,7 @@ def cmd_characterize(args) -> int:
     t0 = time.perf_counter()
     ds = characterize_dataset(
         kind, configs, policy, ActivityPolicy(cfg.activity_cycles),
-        seed=cfg.seed, weights=cfg.proxy_weights(), threads=cfg.threads,
+        seed=cfg.seed, weights=cfg.proxy_weights(),
     )
     ds.meta["configs"] = configs_desc
     export_csv(ds, _prepare_out(args.out, args.force))
@@ -158,14 +167,10 @@ def cmd_analyze(args) -> int:
                 + [f"{p.source_uint},{fmt(p.behav_scaled)},{fmt(p.ppa_scaled)}"
                    for p in points])
 
-    k = elbow_select(points, args.kmax, seed=cfg.seed)
-    sse_lines = [pre + f" chosen_k={k}", "k,sse"]
-    from .stats import _lloyd, points_array
-    arr = points_array(points)
-    for kk in range(1, min(args.kmax, len(points)) + 1):
-        _, _, hist = _lloyd(arr, kk, cfg.seed, 100)
-        sse_lines.append(f"{kk},{fmt(hist[-1])}")
-    write_lines(out("elbow.csv"), sse_lines)
+    sse = sse_curve(points, args.kmax, seed=cfg.seed)
+    k = elbow_pick(sse)
+    write_lines(out("elbow.csv"), [pre + f" chosen_k={k}", "k,sse"]
+                + [f"{kk},{fmt(v)}" for kk, v in enumerate(sse, start=1)])
 
     clusters = kmeans(points, k, seed=cfg.seed)
     member_rows = []
@@ -232,7 +237,7 @@ def cmd_match(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_runconfig(args.config, {
-        "seed": args.seed, "threads": args.threads, "n_trees": args.n_trees,
+        "seed": args.seed, "n_trees": args.n_trees,
         "max_depth": args.max_depth, "features_per_split": args.features,
     })
     if bool(args.training) == bool(args.dataset):
@@ -240,7 +245,7 @@ def cmd_train(args) -> int:
                          "--dataset with --target (regressor) is required")
     if args.training:
         ts = import_training_csv(args.training)
-        model, rep = train_classifier(ts, cfg.forest_params(), threads=cfg.threads)
+        model, rep = train_classifier(ts, cfg.forest_params())
         save_model(model, _prepare_out(args.out, args.force))
         acc = float(np.mean(rep.per_bit_accuracy))
         print(f"train: classifier {model.input_width}->{model.output_width} bits, "
@@ -253,11 +258,11 @@ def cmd_train(args) -> int:
     ds = import_csv(args.dataset)
     if args.grid:
         params, model, rep = regressor_grid(ds, args.target, seed=cfg.seed,
-                                            split_seed=args.split_seed, threads=cfg.threads)
+                                            split_seed=args.split_seed)
         picked = f" grid pick: trees={params.n_trees} depth={params.max_depth};"
     else:
         model, rep = train_regressor(ds, args.target, cfg.forest_params(),
-                                     split_seed=args.split_seed, threads=cfg.threads)
+                                     split_seed=args.split_seed)
         picked = ""
     save_model(model, _prepare_out(args.out, args.force))
     print(f"train: regressor target={args.target};{picked} "
@@ -322,7 +327,7 @@ def _estimator_fitness(cfg, behav_model, ppa_model):
 
 def cmd_dse(args) -> int:
     cfg = load_runconfig(args.config, {
-        "seed": args.seed, "threads": args.threads,
+        "seed": args.seed,
         "population_size": args.pop, "max_generations": args.generations,
         "behav_metric": args.behav_metric, "ppa_metric": args.ppa_metric,
     })
@@ -379,14 +384,14 @@ def cmd_dse(args) -> int:
                     "ppa_metric": cfg.ppa_metric, "factor": fmt(args.factor),
                     "seed": cfg.seed})
     write_lines(out("ppf.csv"),
-                [pre, "config_bits,config_uint,behav,ppa"]
+                [pre, FRONT_HEADER]
                 + [f"{AxoConfig.from_uint(u, config_length(kind)).bitstring()},{u},"
                    f"{fmt(b)},{fmt(p)}" for b, p, u in ppf.points])
     if args.validate:
         known = import_csv(args.known) if args.known else None
         vpf, count, char_ds = validate_front(
             ppf, kind, constraints, policy, activity, seed=cfg.seed,
-            weights=cfg.proxy_weights(), known=known, threads=cfg.threads,
+            weights=cfg.proxy_weights(), known=known,
         )
         export_csv(char_ds, out("vpf.csv"))
         vhv = hypervolume_2d(vpf, (constraints.b_max, constraints.p_max)).value
@@ -401,28 +406,21 @@ def cmd_dse(args) -> int:
 
 # -- report -----------------------------------------------------------
 
-def _read_manifest(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                out[k] = v
-    return out
-
-
 def _read_front_csv(path: str) -> ParetoFront:
+    _, raw, i = read_artifact(path)
+    if i >= len(raw) or raw[i] != FRONT_HEADER:
+        raise SchemaError(f"{path}: bad front header")
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("config_bits"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise SchemaError(f"{path}: expected 4 front columns")
+    for rowno, ln in enumerate(raw[i + 1:], start=i + 2):
+        if not ln:
+            continue
+        parts = ln.split(",")
+        try:
+            if len(parts) != 4 or AxoConfig.from_bitstring(parts[0]).uint != int(parts[1]):
+                raise ValueError(f"expected {FRONT_HEADER} with matching bits and uint")
             pts.append((float(parts[2]), float(parts[3]), int(parts[1])))
+        except ValueError as e:
+            raise SchemaError(f"{path}:{rowno}: {e}") from e
     return pareto_front(pts)
 
 
@@ -436,35 +434,32 @@ def cmd_report(args) -> int:
         if "=" not in spec:
             raise UsageError(f"--run expects name=dir, got {spec!r}")
         name, d = spec.split("=", 1)
-        man = _read_manifest(os.path.join(d, "manifest.txt"))
+        man_path = os.path.join(d, "manifest.txt")
+        man = read_manifest(man_path, ("factor", "b_max", "p_max"))
+        try:
+            factor, b_max, p_max = (float(man[k]) for k in ("factor", "b_max", "p_max"))
+        except ValueError as e:
+            raise SchemaError(f"{man_path}: {e}") from e
         vpf_path = os.path.join(d, "vpf.csv")
         validated = None
         if os.path.exists(vpf_path):
             ds = import_csv(vpf_path)
-            validated = int(ds.meta.get("validated", len(ds)))
-            constraints = ConstraintSpec(float(man["b_max"]), float(man["p_max"]),
-                                         float(man["factor"]), bm, pm, man.get("train", ""))
-            pts = [
-                (r.metric(bm), r.metric(pm), r.config_uint)
-                for r in ds.records
-                if constraints.feasible(r.metric(bm), r.metric(pm))
-            ]
-            front = pareto_front(pts)
+            try:
+                validated = int(ds.meta.get("validated", len(ds)))
+            except ValueError as e:
+                raise SchemaError(f"{vpf_path}: {e}") from e
+            constraints = ConstraintSpec(b_max, p_max, factor, bm, pm, man.get("train", ""))
+            front = feasible_front(ds, constraints)
         else:
             front = _read_front_csv(os.path.join(d, "ppf.csv"))
-        runs.append((name, float(man["factor"]), front, validated))
+        runs.append((name, factor, front, validated))
     factors = cfg.factors if args.factors is None else \
         [float(x) for x in args.factors.split(",")]
     lines = ["factor,method,hypervolume,ratio_to_train,validated"]
     for factor in factors:
         constraints = derive_constraints(train_ds, factor, bm, pm)
         ref = (constraints.b_max, constraints.p_max)
-        train_pts = [
-            (r.metric(bm), r.metric(pm), r.config_uint)
-            for r in train_ds.records
-            if constraints.feasible(r.metric(bm), r.metric(pm))
-        ]
-        base = hypervolume_2d(pareto_front(train_pts), ref).value
+        base = hypervolume_2d(feasible_front(train_ds, constraints), ref).value
         lines.append(f"{fmt(factor)},train,{fmt(base)},1,")
         for name, f, front, validated in runs:
             if abs(f - factor) > 1e-12:
@@ -493,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="run-config file (key=value lines)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; axokit runs single-threaded")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
 

@@ -193,6 +193,9 @@ def supersample(model: ForestModel, high_kind: OperatorKind, seeds: list[AxoConf
 
 @dataclass(frozen=True)
 class ProxyCharacterize:
+    """Proxy characterization as a pool metric source.  ``threads`` is
+    accepted for compatibility and has no effect."""
+
     input_policy: object
     activity_policy: ActivityPolicy = ActivityPolicy()
     seed: int = 0
@@ -227,7 +230,7 @@ def evaluate_pool(pool: ConssPool, metric_source) -> ConssPool:
         ds = characterize_dataset(
             pool.kind, pool.configs, metric_source.input_policy,
             metric_source.activity_policy, seed=metric_source.seed,
-            weights=metric_source.weights, threads=metric_source.threads,
+            weights=metric_source.weights,
         )
         return ConssPool(pool.kind, pool.configs, pool.trace, pool.source,
                          predicted=pool.predicted, validated=ds, meta=pool.meta)

@@ -369,6 +369,13 @@ def _pool_predictions(pool: ConssPool, metric: str) -> np.ndarray:
     return np.asarray(pool.predicted[metric], dtype=np.float64)
 
 
+def feasible_front(ds: CharDataset, constraints: ConstraintSpec) -> ParetoFront:
+    """Pareto front of the records of ``ds`` that satisfy ``constraints``."""
+    bm, pm = constraints.behav_metric, constraints.ppa_metric
+    return pareto_front([(r.metric(bm), r.metric(pm), r.config_uint) for r in ds.records
+                         if constraints.feasible(r.metric(bm), r.metric(pm))])
+
+
 def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: ConstraintSpec,
                    input_policy, activity_policy: ActivityPolicy = ActivityPolicy(),
                    seed: int = 0, weights: ProxyWeights = ProxyWeights(),
@@ -378,7 +385,8 @@ def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: Constraint
     Returns (vpf, validation_count, characterized): the non-dominated
     feasible subset under true metrics, the number of configs that had to
     be newly characterized (absent from ``known``), and the full
-    re-characterized dataset.
+    re-characterized dataset.  ``threads`` is accepted for compatibility
+    and has no effect.
     """
     length = config_length(kind)
     configs = [AxoConfig.from_uint(u, length) for u in ppf.uints()]
@@ -391,7 +399,7 @@ def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: Constraint
     fresh: dict[int, CharRecord] = {}
     if new_configs:
         ds = characterize_dataset(kind, new_configs, input_policy, activity_policy,
-                                  seed=seed, weights=weights, threads=threads)
+                                  seed=seed, weights=weights)
         fresh = ds.by_uint()
     records = [known_map[c.uint] if c.uint in known_map else fresh[c.uint] for c in configs]
     char_ds = CharDataset(kind, records, {
@@ -399,13 +407,7 @@ def validate_front(ppf: ParetoFront, kind: OperatorKind, constraints: Constraint
         "seed": str(seed),
         "validated": str(validation_count),
     })
-    feas_pts = [
-        (r.metric(constraints.behav_metric), r.metric(constraints.ppa_metric), r.config_uint)
-        for r in records
-        if constraints.feasible(r.metric(constraints.behav_metric),
-                                r.metric(constraints.ppa_metric))
-    ]
-    return pareto_front(feas_pts), validation_count, char_ds
+    return feasible_front(char_ds, constraints), validation_count, char_ds
 
 
 def compare_hypervolumes(runs: dict[str, ParetoFront],

@@ -13,7 +13,6 @@ inputs this yields exact memorization of the training rows.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +29,6 @@ PARAM_KEYS = ("n_trees", "max_depth", "min_samples_leaf", "features_per_split",
               "bootstrap", "seed")
 
 _TAG_TREE = 5
-_TAG_SPLIT = 6
 
 
 @dataclass(frozen=True)
@@ -253,29 +251,29 @@ def _build_tree(X: np.ndarray, Y: np.ndarray, idx: np.ndarray,
 
 
 def _train_forest(X: np.ndarray, Y: np.ndarray, params: ForestParams,
-                  classifier: bool, threads: int = 1) -> list[_Tree]:
+                  classifier: bool) -> list[_Tree]:
     n = X.shape[0]
-
-    def one(t: int) -> _Tree:
+    Y = Y.astype(np.float64)
+    trees = []
+    for t in range(params.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((int(params.seed), _TAG_TREE, t)))
         if params.bootstrap:
             idx = np.sort(rng.integers(0, n, size=n)).astype(np.intp)
         else:
             idx = np.arange(n, dtype=np.intp)
-        return _build_tree(X, Y.astype(np.float64), idx, params, rng, classifier)
-
-    if threads > 1:
-        with cf.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(params.n_trees)))
-    return [one(t) for t in range(params.n_trees)]
+        trees.append(_build_tree(X, Y, idx, params, rng, classifier))
+    return trees
 
 
 def train_classifier(t: TrainingSet, params: ForestParams = ForestParams(),
                      threads: int = 1) -> tuple[ForestModel, TrainReport]:
-    """Multi-output bit classifier; report covers the training rows."""
+    """Multi-output bit classifier; report covers the training rows.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     if len(t) < 2:
         raise ValueError("need at least 2 training rows")
-    trees = _train_forest(t.X, t.Y, params, classifier=True, threads=threads)
+    trees = _train_forest(t.X, t.Y, params, classifier=True)
     model = ForestModel("classifier", params, t.input_width, t.output_width, trees,
                         meta=dict(t.meta))
     report = hamming_eval(model, t)
@@ -331,7 +329,8 @@ def train_regressor(d: CharDataset, target_metric: str,
 
     Report carries train/test RMSE and R2 under a seeded 80/20 shuffle
     split; rmse_test_scaled divides by the dataset's target range so
-    estimators of different metrics compare on one scale.
+    estimators of different metrics compare on one scale.  ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if len(d) < 2:
         raise ValueError("need at least 2 records")
@@ -343,8 +342,7 @@ def train_regressor(d: CharDataset, target_metric: str,
     test_idx, train_idx = order[:n_test], order[n_test:]
     if train_idx.size < 2:
         raise ValueError("training split too small")
-    trees = _train_forest(X[train_idx], y[train_idx, None], params,
-                          classifier=False, threads=threads)
+    trees = _train_forest(X[train_idx], y[train_idx, None], params, classifier=False)
     model = ForestModel("regressor", params, X.shape[1], 1, trees,
                         meta={"target": target_metric, "kind": d.kind.token,
                               "split_seed": str(split_seed)})
@@ -371,14 +369,14 @@ def regressor_grid(d: CharDataset, target_metric: str, seed: int = 0,
     """Small fixed grid standing in for AutoML estimator selection.
 
     Returns (params, model, report) minimizing test RMSE; ties fall to the
-    earlier grid entry.
+    earlier grid entry.  ``threads`` is accepted for compatibility and has
+    no effect.
     """
     best = None
     for n_trees in GRID_TREES:
         for depth in GRID_DEPTHS:
             params = ForestParams(n_trees=n_trees, max_depth=depth, seed=seed)
-            model, rep = train_regressor(d, target_metric, params,
-                                         split_seed=split_seed, threads=threads)
+            model, rep = train_regressor(d, target_metric, params, split_seed=split_seed)
             key = rep.rmse_test if rep.rmse_test is not None else rep.rmse_train
             if best is None or key < best[0]:
                 best = (key, params, model, rep)

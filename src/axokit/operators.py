@@ -182,11 +182,6 @@ class NetlistCell:
     out: int
 
 
-# Delay weight per cell kind; LUTs are an order of magnitude slower than the
-# dedicated carry logic. Overridable through ProxyWeights in characterize.
-KIND_DELAY = {"Lut": 1.0, "CarryMux": 0.1, "CarryXor": 0.1}
-
-
 class OperatorNetlist:
     """Immutable gate-level netlist for one operator kind.
 

@@ -62,7 +62,7 @@ SCHEMA = {
     "n_noise": (int, 4),
     "factors": (_parse_factors, [0.2, 0.5, 0.75, 1.0]),
     "seed": (int, 0),
-    "threads": (int, 1),
+    "threads": (int, 1),  # accepted for compatibility; nothing reads it
     "activity_cycles": (int, 2048),
     "behav_samples": (int, 65536),
 }

@@ -157,26 +157,29 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> list[Cluster]:
     return clusters
 
 
-def elbow_select(points, k_max: int, seed: int = 0) -> int:
-    """k in [1, k_max] maximizing the discrete second difference of SSE.
-
-    Fewer than three candidate k values leave no second difference; the
-    largest candidate is returned.
-    """
+def sse_curve(points, k_max: int, seed: int = 0) -> list[float]:
+    """Converged k-means SSE for k = 1..min(k_max, number of points)."""
     pts = list(points)
     k_max = min(k_max, len(pts))
     if k_max < 1:
         raise ValueError("need at least one point")
     arr = points_array(pts)
-    sse = []
-    for k in range(1, k_max + 1):
-        _, _, hist = _lloyd(arr, k, seed, 100)
-        sse.append(hist[-1])
-    if k_max < 3:
-        return k_max
+    return [_lloyd(arr, k, seed, 100)[2][-1] for k in range(1, k_max + 1)]
+
+
+def elbow_pick(sse) -> int:
+    """k maximizing the discrete second difference of ``sse``, the SSE at
+    k = 1, 2, ...; fewer than three values leave none, so the largest k."""
+    if len(sse) < 3:
+        return len(sse)
     curve = np.asarray(sse)
     second = curve[:-2] - 2 * curve[1:-1] + curve[2:]
     return int(np.argmax(second)) + 2  # second[j] is the curvature at k=j+2
+
+
+def elbow_select(points, k_max: int, seed: int = 0) -> int:
+    """k in [1, k_max] maximizing the discrete second difference of SSE."""
+    return elbow_pick(sse_curve(points, k_max, seed))
 
 
 def windowed_trend(dataset: CharDataset, metric: str, window: int) -> list[tuple[int, float]]:

@@ -1,5 +1,8 @@
 """End-to-end CLI pipeline plus exit-code and determinism contracts."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,32 @@ def test_exit_code_schema(tmp_path, pipe):
     assert run("dse", "--train", pipe / "l.csv", "--factor", 0.5,
                "--init", pipe / "pool.csv", "--pop", 8, "--generations", 1,
                "--out-dir", tmp_path / "d") == 3
+
+
+@pytest.mark.parametrize("run_dir,name,pattern,repl", [
+    ("run_ga", "manifest.txt", r"^factor=.*\n", ""),
+    ("run_ga", "manifest.txt", r"^b_max=.*\n", ""),
+    ("run_ga", "manifest.txt", r"^p_max=.*\n", ""),
+    ("run_ga", "manifest.txt", r"^factor=", "factor=x"),
+    ("run_ga", "vpf.csv", r"validated=", "validated=x"),
+    ("run_conss", "ppf.csv", r"^([01]+,\d+,)[^,]+", r"\1abc"),
+    ("run_conss", "ppf.csv", r"^config_bits,config_uint,behav,ppa$",
+     "config_bits,config_uint,ppa,behav"),
+    ("run_conss", "ppf.csv", r"^([01]+),\d+,", r"\1,12345,"),
+], ids=["no-factor", "no-b_max", "no-p_max", "bad-factor", "bad-validated",
+        "bad-behav", "bad-header", "uint-mismatch"])
+def test_report_bad_run_dir_is_schema_error(pipe, tmp_path, capsys, run_dir, name,
+                                            pattern, repl):
+    d = tmp_path / run_dir
+    shutil.copytree(pipe / run_dir, d)
+    text = (d / name).read_text()
+    edited = re.sub(pattern, repl, text, count=1, flags=re.M)
+    assert edited != text
+    (d / name).write_text(edited)
+    assert run("report", "--train", pipe / "h.csv", "--run", f"x={d}",
+               "--factors", "0.7", "-o", tmp_path / "r.csv") == 3
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_exit_code_capacity(tmp_path):

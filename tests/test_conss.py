@@ -1,5 +1,7 @@
 """Constraint derivation, seed selection, supersampling, pool evaluation."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from axokit.conss import (
     supersample,
 )
 from axokit.forest import ForestParams, train_classifier, train_regressor
-from axokit.matching import augment_with_noise, match_datasets
+from axokit.matching import TrainingSet, augment_with_noise, match_datasets
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,22 @@ def test_evaluate_pool_proxy(small_pool):
     names = ["avg_abs_rel_err", "pdplut"]
     assert np.array_equal(p1.validated.metric_matrix(names),
                           p2.validated.metric_matrix(names))
+
+
+def test_threads_start_no_thread(mul4_char, small_pool, monkeypatch):
+    """``threads`` is accepted for compatibility; every stage runs serially."""
+    def refuse(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    configs = [r.config for r in mul4_char.records[:8]]
+    characterize_dataset(mul4_char.kind, configs, Exhaustive(), ActivityPolicy(64),
+                         seed=0, threads=4)
+    X = mul4_char.config_matrix()[:32]
+    train_classifier(TrainingSet(X, X, 0), ForestParams(n_trees=4, seed=0), threads=4)
+    train_regressor(mul4_char, "pdplut", ForestParams(n_trees=4, seed=0), threads=4)
+    evaluate_pool(small_pool, ProxyCharacterize(Exhaustive(), ActivityPolicy(64),
+                                                seed=0, threads=4))
 
 
 def test_evaluate_pool_guards(small_pool, adder8):
