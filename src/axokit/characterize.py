@@ -174,7 +174,8 @@ class CharDataset:
         return int(self.meta["seed"])
 
     def uints(self) -> np.ndarray:
-        return np.asarray([r.config_uint for r in self.records], dtype=np.int64)
+        """Exact config UINTs: int64 when they fit, else uint64 or object."""
+        return np.asarray([r.config_uint for r in self.records])
 
     def metric_values(self, name: str) -> np.ndarray:
         return np.asarray([r.metric(name) for r in self.records], dtype=np.float64)

@@ -10,6 +10,7 @@ its output preambles, never mutates inputs, and is idempotent.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -418,7 +419,10 @@ def _read_front_csv(path: str) -> ParetoFront:
         try:
             if len(parts) != 4 or AxoConfig.from_bitstring(parts[0]).uint != int(parts[1]):
                 raise ValueError(f"expected {FRONT_HEADER} with matching bits and uint")
-            pts.append((float(parts[2]), float(parts[3]), int(parts[1])))
+            b, p = float(parts[2]), float(parts[3])
+            if not (math.isfinite(b) and math.isfinite(p)):
+                raise ValueError(f"non-finite behav or ppa {b!r},{p!r}")
+            pts.append((b, p, int(parts[1])))
         except ValueError as e:
             raise SchemaError(f"{path}:{rowno}: {e}") from e
     return pareto_front(pts)

@@ -22,7 +22,7 @@ from .characterize import (
 )
 from .errors import SchemaError, WidthMismatchError
 from .forest import ForestModel, predict_bits_batch, predict_metric
-from .matching import EnumerateAll, SamplePatterns
+from .matching import EnumerateAll, noise_rows
 from .operators import AxoConfig, OperatorKind, config_length, parse_kind
 
 POOL_HEADER = "config_bits,config_uint,origin_l_uint,noise_pattern,source"
@@ -146,8 +146,9 @@ class ConssPool:
 
 def supersample(model: ForestModel, high_kind: OperatorKind, seeds: list[AxoConfig],
                 n_noise: int, mode=EnumerateAll(), source: str = "conss") -> ConssPool:
-    """Predict one high config per (seed, noise pattern); dedup by UINT
-    keeping the first trace; all-zeros predictions are dropped."""
+    """Predict one high config per ``noise_rows`` row of the seeds, the row
+    layout the classifier was trained on; dedup by UINT keeping the first
+    trace; all-zeros predictions are dropped."""
     if model.kind != "classifier":
         raise ValueError("supersample needs a classifier model")
     if not seeds:
@@ -160,23 +161,9 @@ def supersample(model: ForestModel, high_kind: OperatorKind, seeds: list[AxoConf
         )
     if model.output_width != config_length(high_kind):
         raise WidthMismatchError("model output width does not match high kind")
-    if isinstance(mode, EnumerateAll):
-        patterns = list(range(1 << n_noise))
-        per_seed = [patterns] * len(seeds)
-    elif isinstance(mode, SamplePatterns):
-        rng = np.random.default_rng(np.random.SeedSequence((int(mode.seed), 4)))
-        per_seed = [
-            rng.integers(0, 1 << n_noise, size=mode.k).tolist() if n_noise else [0] * mode.k
-            for _ in seeds
-        ]
-    else:
-        raise TypeError(f"unknown mode {mode!r}")
-    rows, origins = [], []
-    for seed_cfg, pats in zip(seeds, per_seed):
-        for v in pats:
-            rows.append(seed_cfg.bits + tuple((v >> j) & 1 for j in range(n_noise)))
-            origins.append((seed_cfg.uint, v))
-    pred = predict_bits_batch(model, np.asarray(rows, dtype=np.uint8))
+    rows, per_seed = noise_rows(seeds, n_noise, mode)
+    origins = [(s.uint, v) for s, pats in zip(seeds, per_seed) for v in pats]
+    pred = predict_bits_batch(model, rows)
     seen: dict[int, tuple[int, int]] = {}
     for bits, origin in zip(pred, origins):
         cfg = AxoConfig(tuple(int(b) for b in bits))

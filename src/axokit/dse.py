@@ -7,6 +7,11 @@ by Pareto rank with crowding-distance ties.  The predicted Pareto front is
 taken over the cumulative archive of every feasible individual evaluated,
 and fronts are scored by the exact area of the union of dominated boxes
 against a reference point.
+
+Every non-empty ``ParetoFront`` is built by ``pareto_front``, the one
+non-dominated filter (``conss.pareto_mask``) plus the lowest-UINT collapse
+of exact duplicates, so it holds finite, mutually non-dominated points in
+ascending behav order; ``hypervolume_2d`` relies on that.
 """
 
 from __future__ import annotations
@@ -84,41 +89,27 @@ class HypervolumeResult:
 
 def pareto_front(points) -> ParetoFront:
     """Non-dominated subset under (<=, <=) with strict improvement on one
-    axis; exact duplicates collapse to the lowest UINT."""
+    axis, through ``pareto_mask``; exact duplicates collapse to the lowest
+    UINT, and UINTs stay exact Python ints of any width."""
     pts = list(points)
-    if not pts:
-        return ParetoFront(())
-    b = np.asarray([p[0] for p in pts], dtype=np.float64)
-    p_ = np.asarray([p[1] for p in pts], dtype=np.float64)
-    u = np.asarray([p[2] for p in pts], dtype=np.int64)
-    order = np.lexsort((u, p_, b))
-    kept = []
-    best_p = np.inf
-    for i in order:
-        if p_[i] < best_p:
-            kept.append((float(b[i]), float(p_[i]), int(u[i])))
-            best_p = p_[i]
-    return ParetoFront(tuple(kept))
+    b = [float(pt[0]) for pt in pts]
+    p = [float(pt[1]) for pt in pts]
+    kept = sorted(np.flatnonzero(pareto_mask(b, p)).tolist(), key=lambda i: (b[i], pts[i][2]))
+    # survivors that share a behav are exact duplicates; the first has the lowest UINT
+    first = [i for j, i in enumerate(kept) if j == 0 or b[i] != b[kept[j - 1]]]
+    return ParetoFront(tuple((b[i], p[i], int(pts[i][2])) for i in first))
 
 
 def hypervolume_2d(front: ParetoFront, reference: tuple[float, float]) -> HypervolumeResult:
     """Exact area of the union of boxes [b_i, rb] x [p_i, rp].
 
-    Points at or beyond the reference on either axis contribute nothing
-    and are clipped out.
+    ``front`` must come from ``pareto_front``: finite points, behav
+    strictly ascending, ppa strictly descending.  Points at or beyond the
+    reference on either axis contribute nothing and are clipped out, which
+    leaves a staircase.
     """
     rb, rp = float(reference[0]), float(reference[1])
-    pts = [(b, p) for b, p, _ in front.points if b < rb and p < rp]
-    if not pts:
-        return HypervolumeResult(0.0, (rb, rp), 0)
-    pts.sort()
-    # defensive re-extraction: keep the strictly descending ppa staircase
-    stair = []
-    best_p = np.inf
-    for b, p in pts:
-        if p < best_p:
-            stair.append((b, p))
-            best_p = p
+    stair = [(b, p) for b, p, _ in front.points if b < rb and p < rp]
     area = 0.0
     for i, (b, p) in enumerate(stair):
         b_next = stair[i + 1][0] if i + 1 < len(stair) else rb

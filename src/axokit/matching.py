@@ -123,13 +123,17 @@ def match_datasets(l_char: CharDataset, h_char: CharDataset,
     return MatchDataset(l_char.kind, h_char.kind, pairs, distance_kind)
 
 
-def _noise_bits(value: int, n_noise: int) -> tuple[int, ...]:
-    return tuple((value >> j) & 1 for j in range(n_noise))
+def noise_rows(bases: list[AxoConfig], n_noise: int,
+               mode=EnumerateAll()) -> tuple[np.ndarray, list[list[int]]]:
+    """Classifier input rows, shared by training and supersampling.
 
-
-def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> TrainingSet:
-    """One training row per (pair, noise pattern); inputs are the low
-    config bits with the pattern appended, outputs the high config bits."""
+    Each base config gets one row per noise pattern: its bits followed by
+    the pattern's n_noise bits, least-significant first.  ``EnumerateAll``
+    gives every base all 2^n_noise patterns, bounded by
+    ``ENUMERATE_NOISE_LIMIT``; ``SamplePatterns`` draws k patterns per
+    base, in base order, from one seeded stream.  Returns the uint8 rows,
+    base by base, and each base's pattern list.
+    """
     if n_noise < 0:
         raise ValueError("n_noise must be >= 0")
     if isinstance(mode, EnumerateAll):
@@ -138,23 +142,28 @@ def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> Tr
                 f"enumerating 2^{n_noise} noise patterns exceeds the "
                 f"2^{ENUMERATE_NOISE_LIMIT} guard; use SamplePatterns"
             )
-        patterns = list(range(1 << n_noise))
-        per_pair = [patterns] * len(m.pairs)
+        per_base = [list(range(1 << n_noise))] * len(bases)
     elif isinstance(mode, SamplePatterns):
         rng = np.random.default_rng(np.random.SeedSequence((int(mode.seed), 4)))
-        per_pair = [
+        per_base = [
             rng.integers(0, 1 << n_noise, size=mode.k).tolist() if n_noise else [0] * mode.k
-            for _ in m.pairs
+            for _ in bases
         ]
     else:
-        raise TypeError(f"unknown augmentation mode {mode!r}")
-    xs, ys = [], []
-    for pair, pats in zip(m.pairs, per_pair):
-        base = pair.l_config.bits
-        out = pair.h_config.bits
-        for v in pats:
-            xs.append(base + _noise_bits(v, n_noise))
-            ys.append(out)
+        raise TypeError(f"unknown noise mode {mode!r}")
+    pats = np.asarray([v for ps in per_base for v in ps], dtype=np.int64)
+    noise = (pats[:, None] >> np.arange(n_noise)) & 1
+    low = np.repeat(np.asarray([c.bits for c in bases], dtype=np.uint8),
+                    [len(ps) for ps in per_base], axis=0)
+    return np.concatenate([low, noise.astype(np.uint8)], axis=1), per_base
+
+
+def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> TrainingSet:
+    """One training row per (pair, noise pattern); inputs are the
+    ``noise_rows`` of the low configs, outputs the high config bits."""
+    X, per_pair = noise_rows([pair.l_config for pair in m.pairs], n_noise, mode)
+    Y = np.repeat(np.asarray([pair.h_config.bits for pair in m.pairs], dtype=np.uint8),
+                  [len(ps) for ps in per_pair], axis=0)
     meta = {
         "low_kind": m.low_kind.token,
         "high_kind": m.high_kind.token,
@@ -162,8 +171,7 @@ def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> Tr
         "n_noise": str(n_noise),
         "mode": mode.describe(),
     }
-    return TrainingSet(np.asarray(xs, dtype=np.uint8), np.asarray(ys, dtype=np.uint8),
-                       n_noise, meta)
+    return TrainingSet(X, Y, n_noise, meta)
 
 
 def export_training_csv(t: TrainingSet, path) -> None:

@@ -186,8 +186,9 @@ def test_exit_code_schema(tmp_path, pipe):
     ("run_conss", "ppf.csv", r"^config_bits,config_uint,behav,ppa$",
      "config_bits,config_uint,ppa,behav"),
     ("run_conss", "ppf.csv", r"^([01]+),\d+,", r"\1,12345,"),
+    ("run_conss", "ppf.csv", r"^([01]+,\d+,)[^,]+", r"\1-inf"),
 ], ids=["no-factor", "no-b_max", "no-p_max", "bad-factor", "bad-validated",
-        "bad-behav", "bad-header", "uint-mismatch"])
+        "bad-behav", "bad-header", "uint-mismatch", "non-finite-behav"])
 def test_report_bad_run_dir_is_schema_error(pipe, tmp_path, capsys, run_dir, name,
                                             pattern, repl):
     d = tmp_path / run_dir
@@ -204,6 +205,42 @@ def test_report_bad_run_dir_is_schema_error(pipe, tmp_path, capsys, run_dir, nam
 
 def test_exit_code_capacity(tmp_path):
     assert run("characterize", "--op", "mul:s8", "-o", tmp_path / "x.csv") == 4
+
+
+def test_supersample_enumerate_guard(tmp_path, capsys):
+    # a classifier trained on sampled patterns still refuses to enumerate
+    # 2^13 noise patterns per seed at supersampling time
+    l, h, t, clf = (tmp_path / n for n in ("l.csv", "h.csv", "t.csv", "clf.fmodel"))
+    assert run("characterize", "--op", "adder:u4", "-o", l) == 0
+    assert run("characterize", "--op", "adder:u6", "-o", h) == 0
+    assert run("match", "--low", l, "--high", h, "--n-noise", 13,
+               "--noise-mode", "sample:2", "-o", t) == 0
+    assert run("train", "--training", t, "--n-trees", 4, "-o", clf) == 0
+    assert run("supersample", "--model", clf, "--low", l, "--factor", 1.0,
+               "-o", tmp_path / "pool.csv") == 4
+    assert "2^13" in capsys.readouterr().err
+    assert not (tmp_path / "pool.csv").exists()
+
+
+def test_configs_wider_than_int64_run_every_stage(tmp_path):
+    # mul:s12 configs are 78 bits wide
+    d = tmp_path
+    small = ("--sample", 12, "--behav-samples", 256, "--activity-cycles", 64)
+    assert run("characterize", "--op", "mul:s10", *small, "-o", d / "l.csv") == 0
+    assert run("characterize", "--op", "mul:s12", *small, "-o", d / "h.csv") == 0
+    assert run("analyze", "--dataset", d / "h.csv", "--low", d / "l.csv",
+               "--out-dir", d / "analysis") == 0
+    assert run("match", "--low", d / "l.csv", "--high", d / "h.csv", "-o", d / "t.csv") == 0
+    assert run("train", "--training", d / "t.csv", "--n-trees", 4, "-o", d / "clf.fmodel") == 0
+    assert run("supersample", "--model", d / "clf.fmodel", "--low", d / "l.csv",
+               "--factor", 1.0, "-o", d / "pool.csv") == 0
+    assert run("dse", "--train", d / "h.csv", "--factor", 1.0, "--init", d / "pool.csv",
+               "--pop", 4, "--generations", 2, "--behav-samples", 256, "--validate",
+               "--out-dir", d / "run") == 0
+    assert run("report", "--train", d / "h.csv", "--run", f"conss={d / 'run'}",
+               "--factors", 1.0, "-o", d / "report.csv") == 0
+    ppf = (d / "run" / "ppf.csv").read_text().splitlines()[2:]
+    assert ppf and max(int(ln.split(",")[1]) for ln in ppf) >= 2**63
 
 
 def test_characterize_thread_invariance(pipe, tmp_path):

@@ -1,6 +1,8 @@
 """Constraint derivation, seed selection, supersampling, pool evaluation."""
 
 import threading
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from axokit import (
     WidthMismatchError,
     enumerate_configs,
 )
+from axokit import conss
 from axokit.characterize import ActivityPolicy, Exhaustive, characterize_dataset
 from axokit.conss import (
     ConssPool,
@@ -29,7 +32,16 @@ from axokit.conss import (
     supersample,
 )
 from axokit.forest import ForestParams, train_classifier, train_regressor
-from axokit.matching import TrainingSet, augment_with_noise, match_datasets
+from axokit.matching import (
+    EnumerateAll,
+    MatchDataset,
+    MatchedPair,
+    SamplePatterns,
+    TrainingSet,
+    augment_with_noise,
+    match_datasets,
+)
+from axokit.stats import DistanceKind, SignedDistance
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +181,43 @@ def test_supersample_pool_shape(bit_model, adder4_char, adder8):
     for lu, pat in pool.trace:
         assert lu in seed_uints
         assert 0 <= pat < 4
+
+
+def old_supersample_rows(seeds, n_noise, mode):
+    """The row loop supersample had before it shared augment_with_noise's builder."""
+    if isinstance(mode, EnumerateAll):
+        per_seed = [list(range(1 << n_noise))] * len(seeds)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence((int(mode.seed), 4)))
+        per_seed = [rng.integers(0, 1 << n_noise, size=mode.k).tolist() if n_noise
+                    else [0] * mode.k for _ in seeds]
+    return np.asarray([s.bits + tuple((v >> j) & 1 for j in range(n_noise))
+                       for s, pats in zip(seeds, per_seed) for v in pats], dtype=np.uint8)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=6), st.integers(0, 5),
+       st.one_of(st.just(EnumerateAll()),
+                 st.builds(SamplePatterns, st.integers(1, 4), st.integers(0, 3))))
+def test_supersample_feeds_the_training_rows(l_uints, n_noise, mode):
+    low, high = OperatorKind(Family.UNSIGNED_ADDER, 4), OperatorKind(Family.UNSIGNED_ADDER, 8)
+    seeds = [AxoConfig.from_uint(u, 4) for u in l_uints]
+    sd = SignedDistance(0.0, 0, 0, DistanceKind.EUCLIDEAN)
+    m = MatchDataset(low, high, [MatchedPair(c, AxoConfig.from_uint(1, 8), sd) for c in seeds],
+                     DistanceKind.EUCLIDEAN)
+    fed = []
+
+    def capture(model, rows):
+        fed.append(rows)
+        return np.zeros((len(rows), 8), dtype=np.uint8)
+
+    model = SimpleNamespace(kind="classifier", input_width=4 + n_noise, output_width=8)
+    with mock.patch.object(conss, "predict_bits_batch", capture):
+        supersample(model, high, seeds, n_noise, mode)
+    want = old_supersample_rows(seeds, n_noise, mode)
+    assert len(fed) == 1
+    assert fed[0].dtype == want.dtype and np.array_equal(fed[0], want)
+    assert np.array_equal(augment_with_noise(m, n_noise, mode).X, want)
 
 
 def test_supersample_width_guards(bit_model, adder4_char, adder8, mul4):

@@ -105,6 +105,7 @@ def test_hypervolume_monotone_in_points(pts, nb, np_):
 # a coarse grid forces ties and equal (b, p) pairs under different uints
 grid_point = st.tuples(st.integers(0, 4).map(float), st.integers(0, 4).map(float),
                        st.integers(0, 20))
+coarse = st.integers(0, 3).map(float)
 
 
 @settings(max_examples=200)
@@ -115,6 +116,89 @@ def test_running_front_matches_whole_archive(batches):
     for batch in batches:
         front = pareto_front(list(front.points) + batch)
     assert front == pareto_front([pt for batch in batches for pt in batch])
+
+
+def old_pareto_front(points):
+    """The sort-and-scan loop that pareto_front replaced (UINTs cast to int64)."""
+    pts = list(points)
+    if not pts:
+        return ParetoFront(())
+    b = np.asarray([p[0] for p in pts], dtype=np.float64)
+    p_ = np.asarray([p[1] for p in pts], dtype=np.float64)
+    u = np.asarray([p[2] for p in pts], dtype=np.int64)
+    order = np.lexsort((u, p_, b))
+    kept = []
+    best_p = np.inf
+    for i in order:
+        if p_[i] < best_p:
+            kept.append((float(b[i]), float(p_[i]), int(u[i])))
+            best_p = p_[i]
+    return ParetoFront(tuple(kept))
+
+
+def old_hypervolume_2d(front, reference):
+    """hypervolume_2d when it still re-sorted and re-extracted the staircase."""
+    rb, rp = float(reference[0]), float(reference[1])
+    pts = sorted((b, p) for b, p, _ in front.points if b < rb and p < rp)
+    stair = []
+    best_p = np.inf
+    for b, p in pts:
+        if p < best_p:
+            stair.append((b, p))
+            best_p = p
+    area = 0.0
+    for i, (b, p) in enumerate(stair):
+        b_next = stair[i + 1][0] if i + 1 < len(stair) else rb
+        area += (b_next - b) * (rp - p)
+    return float(area), len(stair)
+
+
+# finite coordinates: grid ties, both signed zeros, and arbitrary floats
+finite = st.one_of(coarse, st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+finite_point = st.tuples(finite, finite, st.integers(0, 20))
+
+
+def with_duplicates(pts, dups):
+    """``pts`` plus exact (behav, ppa) copies of some of them under new UINTs."""
+    return pts + [(*pts[i % len(pts)][:2], u) for i, u in dups] if pts else pts
+
+
+duplicates = st.lists(st.tuples(st.integers(0, 29), st.integers(0, 20)), max_size=6)
+
+
+@settings(max_examples=400)
+@given(st.lists(finite_point, max_size=30), duplicates)
+def test_pareto_front_matches_old_loop(pts, dups):
+    pts = with_duplicates(pts, dups)
+    got, want = pareto_front(pts), old_pareto_front(pts)
+    # bytes, so that -0.0 and 0.0 count as different
+    assert [np.float64(x).tobytes() for pt in got.points for x in pt[:2]] == \
+        [np.float64(x).tobytes() for pt in want.points for x in pt[:2]]
+    assert got.uints() == want.uints()
+
+
+wide_uint = st.one_of(st.integers(0, 20), st.integers(2**63, 2**80))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.one_of(coarse, unit), st.one_of(coarse, unit), wide_uint),
+                max_size=20), duplicates)
+def test_pareto_front_keeps_wide_uints_exact(pts, dups):
+    pts = with_duplicates(pts, dups)
+    got = pareto_front(pts)
+    assert list(got.points) == brute_front(pts)
+    assert all(type(u) is int for u in got.uints())
+
+
+@settings(max_examples=400)
+@given(st.lists(finite_point, max_size=30), duplicates, st.tuples(finite, finite))
+def test_hypervolume_matches_re_extracting_version(pts, dups, ref):
+    front = pareto_front(with_duplicates(pts, dups))
+    got = hypervolume_2d(front, ref)
+    value, size = old_hypervolume_2d(front, ref)
+    assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+    assert got.front_size == size
 
 
 def test_spread_subset_keeps_extremes():
@@ -293,8 +377,6 @@ def old_crowding(pop, front):
                 continue
             pop[i].crowding += (vals[order[j + 1]] - vals[order[j - 1]]) / span
 
-
-coarse = st.integers(0, 3).map(float)
 
 
 @settings(max_examples=300)
