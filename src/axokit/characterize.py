@@ -12,7 +12,8 @@ downstream module unchanged.
 Every path goes through one block body: configs are simulated in blocks
 of at most ``BLOCK_LANES`` lanes (see :mod:`axokit.simcore`), while each
 record keeps its own RNG streams, so a record never depends on which
-block computed it.
+block computed it.  ``cpd_proxy`` is one constant-folding pass over the
+cells for all configs of a call; a single config is the pass with k = 1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,19 @@ EXHAUSTIVE_INPUT_BITS = 24
 # cuts per-call overhead but grows the toggle-counting temporaries: at
 # 2^16 the peak RSS of characterizing 256 exhaustive mul:s8 configs rose
 # 14 % over one-config-per-pass simulation, at 2^14 it stays within 2 %.
+# A config with more lanes than this (exhaustive mul:s8 has 65,536) is a
+# block of its own.  Such blocks share the grid's bit planes, packed once
+# per call, and their gate rows are all-ones or all-zero, so the kernel
+# never masks them.
 BLOCK_LANES = 1 << 14
+
+# Configs per constant-folding pass of ``cpd_proxy``.  Its state is about
+# 9 bytes per signal and config (0.6 MB for mul:s8); at 1024 configs the
+# peak RSS of characterizing all mul:s4 configs rose 0.5 MB over a
+# per-config loop, at 256 it does not.  The fold of those 1023 configs
+# then takes about 9 ms in four passes (4 ms in one, 50 ms config by
+# config).
+CPD_CONFIGS = 256
 
 BEHAV_METRICS = ("avg_abs_err", "avg_abs_rel_err", "max_abs_err", "err_rate")
 PPA_METRICS = ("lut_util", "cpd_proxy", "power_proxy", "pdp", "pdplut")
@@ -87,6 +100,10 @@ class Sampled:
 
     n: int
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"sampled input policy needs n >= 1 operand pairs, got {self.n}")
 
     def describe(self) -> str:
         return f"sampled:n={self.n}"
@@ -221,16 +238,21 @@ def _record_operands(kind: OperatorKind, configs: Sequence[AxoConfig], n: int,
     return a, b
 
 
-def _blocks(configs: list[AxoConfig], lanes: int) -> list[list[AxoConfig]]:
-    """Consecutive config blocks of at most BLOCK_LANES word-padded lanes;
-    a config whose lanes alone exceed the budget is a block of one."""
-    per = max(1, BLOCK_LANES // (64 * ((lanes + 63) // 64)))
-    return [configs[i:i + per] for i in range(0, len(configs), per)]
+def _block_size(lanes: int) -> int:
+    """Configs per simulation block: at most BLOCK_LANES word-padded lanes,
+    and one config whose lanes alone exceed the budget."""
+    return max(1, BLOCK_LANES // (64 * ((lanes + 63) // 64)))
+
+
+def _denominator(exact: np.ndarray) -> np.ndarray:
+    """Relative-error denominator max(1, |exact|)."""
+    return np.maximum(1.0, np.abs(exact).astype(np.float64))
 
 
 def _exhaustive_inputs(kind: OperatorKind, input_policy):
-    """(a, b, exact) over the whole operand grid for Exhaustive, None for
-    Sampled (whose operands are per record)."""
+    """(a, b, exact, denominator, packed operand planes) over the whole
+    operand grid for Exhaustive, None for Sampled (whose operands are per
+    record)."""
     if isinstance(input_policy, Exhaustive):
         if 2 * kind.width > EXHAUSTIVE_INPUT_BITS:
             raise CapacityError(
@@ -238,27 +260,31 @@ def _exhaustive_inputs(kind: OperatorKind, input_policy):
                 f"(limit {EXHAUSTIVE_INPUT_BITS}); use Sampled"
             )
         a, b = _operand_grid(kind)
-        return a, b, kind.exact(a, b)
+        exact = kind.exact(a, b)
+        return a, b, exact, _denominator(exact), simcore._operand_planes(kind.width, a, b)
     if isinstance(input_policy, Sampled):
         return None
     raise TypeError(f"unknown input policy {input_policy!r}")
 
 
-def _behav_from_outputs(exact: np.ndarray, out: np.ndarray) -> list[BehavMetrics]:
-    """Error metrics of each row of ``out`` (k, lanes) against ``exact``,
-    shared (lanes,) or one row per config."""
+def _behav_from_outputs(exact: np.ndarray, out: np.ndarray,
+                        denom: np.ndarray) -> list[BehavMetrics]:
+    """Error metrics of each row of ``out`` (k, lanes) against ``exact``
+    and its ``_denominator``, shared (lanes,) or one row per config.
+
+    Absolute errors are summed and maxed in int64: every partial sum is
+    exact below 2^53, so the mean equals the float64 mean bit for bit.
+    """
     err = exact - out
-    abs_err = np.abs(err).astype(np.float64)
-    denom = np.maximum(1.0, np.abs(exact).astype(np.float64))
-    avg = abs_err.mean(axis=-1)
-    mx = abs_err.max(axis=-1)
-    abs_err /= denom
-    rel = abs_err.mean(axis=-1)
     wrong = np.count_nonzero(err, axis=-1)
+    np.abs(err, out=err)
+    total = err.sum(axis=-1)
+    mx = err.max(axis=-1)
+    rel = np.divide(err, denom).mean(axis=-1)
     n = err.shape[-1]
     return [
         BehavMetrics(
-            avg_abs_err=float(avg[i]),
+            avg_abs_err=float(total[i]) / n,
             avg_abs_rel_err=float(rel[i]),
             max_abs_err=float(mx[i]),
             err_rate=int(wrong[i]) / n,
@@ -270,15 +296,18 @@ def _behav_from_outputs(exact: np.ndarray, out: np.ndarray) -> list[BehavMetrics
 def _behav_block(net: OperatorNetlist, configs: list[AxoConfig], input_policy,
                  seed: int, grid) -> list[BehavMetrics]:
     """BEHAV metrics of a config block in one simulation pass; ``grid`` is
-    the shared exhaustive (a, b, exact) or None for sampled operands."""
+    the shared exhaustive ``_exhaustive_inputs`` or None for sampled
+    operands."""
     if grid is not None:
-        a, b, exact = grid
+        a, b, exact, denom, planes = grid
+        out = simcore.evaluate_configs(net, configs, a, b, _planes=planes)
     else:
         eff = input_policy.seed if input_policy.seed is not None else seed
         a, b = _record_operands(net.kind, configs, input_policy.n, eff, _TAG_BEHAV)
         exact = net.kind.exact(a, b)
-    out = simcore.evaluate_configs(net, configs, a, b)
-    return _behav_from_outputs(exact, out)
+        denom = _denominator(exact)
+        out = simcore.evaluate_configs(net, configs, a, b)
+    return _behav_from_outputs(exact, out, denom)
 
 
 def behav_characterize(kind: OperatorKind, config: AxoConfig, input_policy,
@@ -294,6 +323,80 @@ def behav_characterize(kind: OperatorKind, config: AxoConfig, input_policy,
     return _behav_block(net, [config], input_policy, seed, grid)[0]
 
 
+def _pymax(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(x, y)`` with Python's rule: ``y`` only where it is
+    greater, so NaN and -0.0 resolve as in a scalar ``max``."""
+    return np.where(y > x, y, x)
+
+
+def _cpd_fold(net: OperatorNetlist, configs: Sequence[AxoConfig],
+               weights: ProxyWeights) -> list[float]:
+    """``cpd_proxy`` of every config of ``configs`` in one folding pass.
+
+    Per signal, ``st`` holds each config's constant state (0, 1, or -1
+    for switching) and ``ar`` its arrival time, 0.0 where the signal is
+    constant.  The pass walks the cells once, in chunks of ``CPD_CONFIGS``
+    configs to bound memory.
+    """
+    res: list[float] = []
+    for i in range(0, len(configs), CPD_CONFIGS):
+        chunk = configs[i:i + CPD_CONFIGS]
+        k = len(chunk)
+        keep = np.ascontiguousarray(np.asarray([c.bits for c in chunk], dtype=bool).T)
+        zero = np.zeros(k)
+        st = ([np.zeros(k, dtype=np.int8), np.ones(k, dtype=np.int8)]
+              + [np.full(k, -1, dtype=np.int8)] * (2 * net.kind.width)
+              + [None] * len(net.cells))
+        ar = [zero] * net.n_signals
+
+        def fold_and(s0, s1):
+            c0, c1 = st[s0], st[s1]
+            cs = np.where((c0 == 0) | (c1 == 0), 0, np.minimum(c0, c1))
+            t = np.where(c0 == 1, ar[s1], np.where(c1 == 1, ar[s0], _pymax(ar[s0], ar[s1])))
+            return cs, np.where(cs < 0, t, 0.0)
+
+        for c in net.cells:
+            w = weights.lut_delay if c.kind == "Lut" else weights.carry_delay
+            on = keep[c.config_index] if c.config_index >= 0 else None
+            if c.op == OP_BW:
+                ca, ta = fold_and(c.inputs[0], c.inputs[1])
+                cb, tb = fold_and(c.inputs[2], c.inputs[3])
+                neg = c.flags & 1 ^ (c.flags >> 1) & 1
+                const = (ca >= 0) & (cb >= 0)
+                so = np.where(const, ca ^ cb ^ neg, -1)
+                t = w + _pymax(ta, tb)
+            elif c.op == OP_MUX:
+                sel, chain = c.inputs[0], c.inputs[1]
+                cd, td = fold_and(c.inputs[2], c.inputs[3])
+                cd = np.where(cd >= 0, cd ^ (c.flags & 1), cd)
+                if on is not None:
+                    cd, td = np.where(on, cd, 0), np.where(on, td, 0.0)
+                cs, cc = st[sel], st[chain]
+                both = np.where((cc == cd) & (cd >= 0), cd, -1)
+                so = np.where(cs == 1, cc, np.where(cs == 0, cd, both))
+                m = np.where((cc < 0) & (ar[chain] > ar[sel]), ar[chain], ar[sel])
+                m = np.where((cd < 0) & (td > m), td, m)
+                t = w + np.where(cs == 1, ar[chain], np.where(cs == 0, td, m))
+            else:  # OP_XOR2
+                s0, s1 = c.inputs
+                c0, c1 = st[s0], st[s1]
+                const = (c0 >= 0) & (c1 >= 0)
+                so = np.where(const, c0 ^ c1, -1)
+                t = w + np.where(c0 >= 0, ar[s1], np.where(c1 >= 0, ar[s0],
+                                                           _pymax(ar[s0], ar[s1])))
+            if c.kind == "Lut" and on is not None:
+                # a removed LUT emits constant 0
+                so = np.where(on, so, 0)
+            st[c.out] = so
+            ar[c.out] = np.where(so < 0, t, 0.0)
+        outs = [ar[s] for s in net.out_signals]
+        best = outs[0] if outs else zero
+        for x in outs[1:]:
+            best = _pymax(best, x)
+        res += best.tolist()
+    return res
+
+
 def cpd_proxy(net: OperatorNetlist, config: AxoConfig,
               weights: ProxyWeights = ProxyWeights()) -> float:
     """Weighted longest path over cells still switching under ``config``.
@@ -303,99 +406,21 @@ def cpd_proxy(net: OperatorNetlist, config: AxoConfig,
     constant output contribute 0 regardless of their inputs.
     """
     net.check_config(config)
-    bits = config.bits
-    # const[s] in {0, 1, None}; arr[s] = arrival time, 0 for constants/inputs
-    const: dict[int, int | None] = {0: 0, 1: 1}
-    arr = np.zeros(net.n_signals, dtype=np.float64)
-    for s in net.a_signals + net.b_signals:
-        const[s] = None
-
-    def fold_and(s0, s1):
-        c0, c1 = const[s0], const[s1]
-        if c0 == 0 or c1 == 0:
-            return 0, 0.0
-        if c0 is not None and c1 is not None:
-            return c0 & c1, 0.0
-        if c0 == 1:
-            return None, arr[s1]
-        if c1 == 1:
-            return None, arr[s0]
-        return None, max(arr[s0], arr[s1])
-
-    for c in net.cells:
-        w = weights.lut_delay if c.kind == "Lut" else weights.carry_delay
-        gate_on = c.config_index < 0 or bits[c.config_index] == 1
-        if c.kind == "Lut" and not gate_on:
-            const[c.out] = 0
-            continue
-        if c.op == OP_BW:
-            ca, ta = fold_and(c.inputs[0], c.inputs[1])
-            cb, tb = fold_and(c.inputs[2], c.inputs[3])
-            neg = c.flags & 1 ^ (c.flags >> 1) & 1
-            if ca is not None and cb is not None:
-                const[c.out] = ca ^ cb ^ neg
-            else:
-                const[c.out] = None
-                arr[c.out] = w + max(ta, tb)
-        elif c.op == OP_MUX:
-            sel, chain = c.inputs[0], c.inputs[1]
-            if gate_on:
-                cd, td = fold_and(c.inputs[2], c.inputs[3])
-                if cd is not None:
-                    cd ^= c.flags & 1
-            else:
-                cd, td = 0, 0.0
-            cs = const[sel]
-            if cs == 1:
-                if const[chain] is not None:
-                    const[c.out] = const[chain]
-                else:
-                    const[c.out] = None
-                    arr[c.out] = w + arr[chain]
-            elif cs == 0:
-                const[c.out] = cd
-                if cd is None:
-                    arr[c.out] = w + td
-            else:
-                if const[chain] is not None and cd is not None and const[chain] == cd:
-                    const[c.out] = cd
-                else:
-                    const[c.out] = None
-                    terms = [arr[sel]]
-                    if const[chain] is None:
-                        terms.append(arr[chain])
-                    if cd is None:
-                        terms.append(td)
-                    arr[c.out] = w + max(terms)
-        else:  # OP_XOR2
-            s0, s1 = c.inputs
-            c0, c1 = const[s0], const[s1]
-            if c0 is not None and c1 is not None:
-                const[c.out] = c0 ^ c1
-            else:
-                const[c.out] = None
-                if c0 is not None:
-                    arr[c.out] = w + arr[s1]
-                elif c1 is not None:
-                    arr[c.out] = w + arr[s0]
-                else:
-                    arr[c.out] = w + max(arr[s0], arr[s1])
-    return float(max((arr[s] for s in net.out_signals), default=0.0))
+    return _cpd_fold(net, [config], weights)[0]
 
 
-def _ppa_block(net: OperatorNetlist, configs: list[AxoConfig],
+def _ppa_block(net: OperatorNetlist, configs: list[AxoConfig], cpds: list[float],
                activity_policy: ActivityPolicy, seed: int,
                weights: ProxyWeights) -> list[PpaMetrics]:
-    """Proxy cost metrics of a config block; toggles in one simulation
-    pass, ``cpd_proxy`` per config."""
+    """Proxy cost metrics of a config block from its ``cpd_proxy`` values;
+    toggles in one simulation pass."""
     cycles = activity_policy.cycles
     eff = activity_policy.seed if activity_policy.seed is not None else seed
     a, b = _record_operands(net.kind, configs, cycles, eff, _TAG_ACTIVITY)
     _, toggles = simcore.evaluate_configs(net, configs, a, b, count_toggles=True)
     metrics = []
-    for config, t in zip(configs, toggles.tolist()):
+    for config, cpd, t in zip(configs, cpds, toggles.tolist()):
         power = t / (cycles - 1) * weights.unit_energy
-        cpd = cpd_proxy(net, config, weights)
         lut = config.popcount
         metrics.append(PpaMetrics(
             lut_util=lut,
@@ -422,7 +447,8 @@ def ppa_characterize(net: OperatorNetlist, config: AxoConfig, activity_policy: A
     """
     net.check_config(config)
     _check_activity(activity_policy)
-    return _ppa_block(net, [config], activity_policy, seed, weights)[0]
+    return _ppa_block(net, [config], [cpd_proxy(net, config, weights)],
+                      activity_policy, seed, weights)[0]
 
 
 def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
@@ -449,11 +475,14 @@ def characterize_dataset(kind: OperatorKind, configs: Sequence[AxoConfig],
     net = build_netlist(kind)
     grid = _exhaustive_inputs(kind, input_policy)
     _check_activity(activity_policy)
-    behav_lanes = grid[0].size if grid is not None else input_policy.n
-    behavs = [m for blk in _blocks(configs, behav_lanes)
-              for m in _behav_block(net, blk, input_policy, seed, grid)]
-    ppas = [m for blk in _blocks(configs, activity_policy.cycles)
-            for m in _ppa_block(net, blk, activity_policy, seed, weights)]
+    per = _block_size(grid[0].size if grid is not None else input_policy.n)
+    behavs = [m for i in range(0, len(configs), per)
+              for m in _behav_block(net, configs[i:i + per], input_policy, seed, grid)]
+    cpds = _cpd_fold(net, configs, weights)
+    per = _block_size(activity_policy.cycles)
+    ppas = [m for i in range(0, len(configs), per)
+            for m in _ppa_block(net, configs[i:i + per], cpds[i:i + per],
+                                activity_policy, seed, weights)]
     records = [CharRecord(c, bm, pm) for c, bm, pm in zip(configs, behavs, ppas)]
     meta = {
         "provenance": provenance,

@@ -70,6 +70,7 @@ from .matching import (
     export_training_csv,
     import_training_csv,
     match_datasets,
+    parse_noise_mode,
 )
 from .operators import AxoConfig, config_length, enumerate_configs, parse_kind
 from .runconfig import load_runconfig
@@ -285,7 +286,9 @@ def cmd_supersample(args) -> int:
     n_noise = int(model.meta.get("n_noise", cfg.n_noise))
     spec = derive_constraints(low, args.factor, cfg.behav_metric, cfg.ppa_metric)
     seeds = select_seeds(low, spec, mode=args.seed_mode)
-    pool = supersample(model, high_kind, seeds, n_noise)
+    # the noise patterns the classifier was trained on; older models enumerate
+    mode = parse_noise_mode(model.meta.get("mode", EnumerateAll().describe()))
+    pool = supersample(model, high_kind, seeds, n_noise, mode)
     pool.meta["factor"] = fmt(args.factor)
     pool.meta["seed"] = str(cfg.seed)
     pool.meta["seed_mode"] = args.seed_mode

@@ -11,6 +11,7 @@ vector, so the appended noise bits lead the input string.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,16 @@ class SamplePatterns:
 
     def describe(self) -> str:
         return f"sample:k={self.k}:seed={self.seed}"
+
+
+def parse_noise_mode(text: str):
+    """The noise mode whose ``describe()`` is ``text``."""
+    if text == EnumerateAll().describe():
+        return EnumerateAll()
+    m = re.fullmatch(r"sample:k=(\d+):seed=(\d+)", text)
+    if m is None:
+        raise SchemaError(f"unknown noise mode {text!r}")
+    return SamplePatterns(int(m[1]), seed=int(m[2]))
 
 
 class TrainingSet:

@@ -11,6 +11,14 @@ to a multiple of 64), and the gate table holds one row of per-word masks
 per removable LUT, so word j of config c is gated by c's bit.  This is
 parallel-pattern simulation with configurations packed beside the test
 patterns (Waicukauski et al., ICCAD 1985).
+
+The signal table of a chunk is allocated uninitialized: rows 0/1 and the
+operand bit planes are written here, and the kernel overwrites every cell
+row in place (see :mod:`axokit._simpy`).  Operands shared by every config
+are packed once and broadcast into each config's words; a caller that
+simulates many blocks over the same operands packs them once for all of
+its calls.  Outputs are unpacked in the narrowest integer type that holds
+them and widened only into the result.
 """
 
 from __future__ import annotations
@@ -67,28 +75,39 @@ def _block_gate(configs: Sequence[AxoConfig], n_words: int) -> np.ndarray:
     return np.repeat(words, n_words, axis=1)
 
 
+def _operand_planes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Packed bit planes (2n, rows, W) of the low n bits of ``a`` then
+    ``b``: rows is 1 for shared (lanes,) operands and k for (k, lanes)."""
+    n_words = (a.shape[-1] + 63) // 64
+    planes = np.concatenate([_pack_planes(a, n, n_words), _pack_planes(b, n, n_words)])
+    return planes.reshape(2 * n, -1, n_words)
+
+
 def _simulate_chunk(net: OperatorNetlist, gate: np.ndarray,
-                    a: np.ndarray, b: np.ndarray) -> np.ndarray:
+                    a: np.ndarray, b: np.ndarray,
+                    planes: np.ndarray | None = None) -> np.ndarray:
     """Run one packed block; returns the full signal table (n_signals, k*W).
 
     ``gate`` is the (L, k*W) block gate; ``a``/``b`` are (lanes,) operands
-    shared by all k configs, packed once and tiled, or (k, lanes) with one
-    row per config.
+    shared by all k configs or (k, lanes) with one row per config.  They
+    are packed here unless ``planes`` already holds their bit planes.
     """
     n = net.kind.width
-    n_words = (a.shape[-1] + 63) // 64
+    if planes is None:
+        planes = _operand_planes(n, a, b)
+    n_words = planes.shape[-1]
     k = gate.shape[1] // n_words
-    sig = np.zeros((net.n_signals, k * n_words), dtype=np.uint64)
+    sig = np.empty((net.n_signals, k * n_words), dtype=np.uint64)
+    sig[0] = 0
     sig[1] = _ONES
-    rows = sig.reshape(net.n_signals, k, n_words)
-    for signals, vals in ((net.a_signals, a), (net.b_signals, b)):
-        rows[signals] = _pack_planes(vals, n, n_words).reshape(n, -1, n_words)
+    sig[2:2 + 2 * n].reshape(2 * n, k, n_words)[:] = planes
     _simpy.run_program(net.instructions, sig, gate)
     return sig
 
 
 def _collect_outputs(net: OperatorNetlist, sig: np.ndarray, lanes: int) -> np.ndarray:
-    """(k, lanes) int64 operator outputs of a simulated block."""
+    """(k, lanes) operator outputs of a simulated block, in the narrowest
+    integer type that holds them (signed for multipliers)."""
     n_words = (lanes + 63) // 64
     k = sig.shape[1] // n_words
     n_out = len(net.out_signals)
@@ -102,10 +121,12 @@ def _collect_outputs(net: OperatorNetlist, sig: np.ndarray, lanes: int) -> np.nd
                              count=lanes, bitorder="little")
         np.left_shift(bits, pos, out=term, dtype=acc)
         vals |= term
-    vals = vals.astype(np.int64)
     if net.kind.family is Family.SIGNED_MULTIPLIER:
-        nbits = 2 * net.kind.width
-        vals -= (vals >> (nbits - 1)) << nbits
+        # sign-extend the top output bit in place
+        shift = 8 * acc.itemsize - n_out
+        vals <<= shift
+        vals = vals.view(acc.str.replace("u", "i"))
+        vals >>= shift
     return vals
 
 
@@ -132,7 +153,8 @@ def _count_toggles(net: OperatorNetlist, sig: np.ndarray, lanes: int) -> np.ndar
 
 
 def evaluate_configs(net: OperatorNetlist, configs: Sequence[AxoConfig],
-                     a: np.ndarray, b: np.ndarray, count_toggles: bool = False):
+                     a: np.ndarray, b: np.ndarray, count_toggles: bool = False,
+                     *, _planes: np.ndarray | None = None):
     """Evaluate k configs of one operator in block passes.
 
     ``a``/``b`` are either 1-D and shared by every config or (k, lanes)
@@ -140,6 +162,11 @@ def evaluate_configs(net: OperatorNetlist, configs: Sequence[AxoConfig],
     ``(outputs, toggles)`` with (k,) int64 toggle counts when
     ``count_toggles`` is set.  Toggles are counted per config between
     consecutive pairs in lane order, including across chunk boundaries.
+
+    ``_planes`` is private to :mod:`axokit.characterize`: the
+    ``_operand_planes`` of shared ``a``/``b``, packed once by a caller
+    that simulates many blocks over the same operands.  Chunks then start
+    on whole words of it, so it cannot be combined with toggle counting.
     """
     configs = list(configs)
     for c in configs:
@@ -154,14 +181,21 @@ def evaluate_configs(net: OperatorNetlist, configs: Sequence[AxoConfig],
     out = np.empty((k, n), dtype=np.int64)
     toggles = np.zeros(k, dtype=np.int64)
     step = max(2, CHUNK_LANES // max(k, 1))
+    if _planes is not None:
+        if count_toggles or a.ndim != 1:
+            raise ValueError("packed planes are for shared operands without toggles")
+        step = max(64, step - step % 64)
     gate = None
+    planes = None
     start = 0
     while start < n and k:
         stop = min(start + step, n)
         m = stop - start
         if gate is None or gate.shape[1] != k * ((m + 63) // 64):
             gate = _block_gate(configs, (m + 63) // 64)
-        sig = _simulate_chunk(net, gate, a[..., start:stop], b[..., start:stop])
+        if _planes is not None:
+            planes = _planes[..., start // 64:(stop + 63) // 64]
+        sig = _simulate_chunk(net, gate, a[..., start:stop], b[..., start:stop], planes)
         out[:, start:stop] = _collect_outputs(net, sig, m)
         if count_toggles:
             toggles += _count_toggles(net, sig, m)

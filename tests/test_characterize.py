@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axokit import build_netlist, characterize, evaluate, parse_kind
 from axokit.characterize import (
@@ -20,7 +21,7 @@ from axokit.characterize import (
     sample_configs,
 )
 from axokit.errors import CapacityError, DuplicateConfigError, SchemaError
-from axokit.operators import AxoConfig, config_length
+from axokit.operators import OP_BW, OP_MUX, AxoConfig, config_length
 
 KIND_W = {"Lut": 1.0}
 
@@ -135,6 +136,116 @@ def test_cpd_all_ones_is_max_over_configs_adder4(adder4):
     top = cpd_proxy(net, AxoConfig.all_ones(4))
     for u in range(16):
         assert cpd_proxy(net, AxoConfig.from_uint(u, 4)) <= top + 1e-12
+
+
+def loop_cpd_proxy(net, config, weights=ProxyWeights()):
+    """The per-config constant-folding loop that preceded the block fold,
+    verbatim."""
+    net.check_config(config)
+    bits = config.bits
+    # const[s] in {0, 1, None}; arr[s] = arrival time, 0 for constants/inputs
+    const = {0: 0, 1: 1}
+    arr = np.zeros(net.n_signals, dtype=np.float64)
+    for s in net.a_signals + net.b_signals:
+        const[s] = None
+
+    def fold_and(s0, s1):
+        c0, c1 = const[s0], const[s1]
+        if c0 == 0 or c1 == 0:
+            return 0, 0.0
+        if c0 is not None and c1 is not None:
+            return c0 & c1, 0.0
+        if c0 == 1:
+            return None, arr[s1]
+        if c1 == 1:
+            return None, arr[s0]
+        return None, max(arr[s0], arr[s1])
+
+    for c in net.cells:
+        w = weights.lut_delay if c.kind == "Lut" else weights.carry_delay
+        gate_on = c.config_index < 0 or bits[c.config_index] == 1
+        if c.kind == "Lut" and not gate_on:
+            const[c.out] = 0
+            continue
+        if c.op == OP_BW:
+            ca, ta = fold_and(c.inputs[0], c.inputs[1])
+            cb, tb = fold_and(c.inputs[2], c.inputs[3])
+            neg = c.flags & 1 ^ (c.flags >> 1) & 1
+            if ca is not None and cb is not None:
+                const[c.out] = ca ^ cb ^ neg
+            else:
+                const[c.out] = None
+                arr[c.out] = w + max(ta, tb)
+        elif c.op == OP_MUX:
+            sel, chain = c.inputs[0], c.inputs[1]
+            if gate_on:
+                cd, td = fold_and(c.inputs[2], c.inputs[3])
+                if cd is not None:
+                    cd ^= c.flags & 1
+            else:
+                cd, td = 0, 0.0
+            cs = const[sel]
+            if cs == 1:
+                if const[chain] is not None:
+                    const[c.out] = const[chain]
+                else:
+                    const[c.out] = None
+                    arr[c.out] = w + arr[chain]
+            elif cs == 0:
+                const[c.out] = cd
+                if cd is None:
+                    arr[c.out] = w + td
+            else:
+                if const[chain] is not None and cd is not None and const[chain] == cd:
+                    const[c.out] = cd
+                else:
+                    const[c.out] = None
+                    terms = [arr[sel]]
+                    if const[chain] is None:
+                        terms.append(arr[chain])
+                    if cd is None:
+                        terms.append(td)
+                    arr[c.out] = w + max(terms)
+        else:  # OP_XOR2
+            s0, s1 = c.inputs
+            c0, c1 = const[s0], const[s1]
+            if c0 is not None and c1 is not None:
+                const[c.out] = c0 ^ c1
+            else:
+                const[c.out] = None
+                if c0 is not None:
+                    arr[c.out] = w + arr[s1]
+                elif c1 is not None:
+                    arr[c.out] = w + arr[s0]
+                else:
+                    arr[c.out] = w + max(arr[s0], arr[s1])
+    return float(max((arr[s] for s in net.out_signals), default=0.0))
+
+
+delays = st.one_of(st.floats(-4.0, 4.0),
+                   st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(token=st.sampled_from(["adder:u5", "mul:s4", "mul:s6", "mul:s8"]),
+       k=st.integers(1, 12), chunk=st.sampled_from([1024, 5, 1]),
+       lut=delays, carry=delays, seed=st.integers(0, 2**32 - 1))
+def test_block_cpd_matches_per_config_loop(token, k, chunk, lut, carry, seed):
+    """One folding pass over k configs gives every config's loop value,
+    float.hex for float.hex, for any delays (negative, signed zeros,
+    infinities and NaN included) and any chunking of the configs."""
+    net = build_netlist(parse_kind(token))
+    rng = np.random.default_rng(seed)
+    p_keep = rng.random()
+    cfgs = [AxoConfig(tuple(int(x) for x in rng.random(net.removable_count) < p_keep))
+            for _ in range(k)]
+    weights = ProxyWeights(lut, carry)
+    want = [loop_cpd_proxy(net, c, weights).hex() for c in cfgs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characterize, "CPD_CONFIGS", chunk)
+        got = [x.hex() for x in characterize._cpd_fold(net, cfgs, weights)]
+    assert got == want
+    assert [cpd_proxy(net, c, weights).hex() for c in cfgs] == want
 
 
 def test_ppa_identities_and_lut_util(adder8):
@@ -258,6 +369,35 @@ def test_csv_round_trip(tmp_path, adder4_char):
         assert r0.ppa == r1.ppa
     assert back.meta["provenance"] == adder4_char.meta["provenance"]
     assert back.meta["seed"] == adder4_char.meta["seed"]
+
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                    1.7976931348623157e308, 0.1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(token=st.sampled_from(["adder:u3", "mul:s4", "mul:s8", "mul:s12"]),
+       data=st.data())
+def test_csv_round_trip_is_byte_identical(tmp_path_factory, token, data):
+    """export -> import -> export reproduces the file byte for byte, for
+    signed zeros, subnormals, extreme doubles and configs of up to 78 bits."""
+    kind = parse_kind(token)
+    length = config_length(kind)
+    uints = data.draw(st.lists(st.integers(0, (1 << length) - 1), min_size=0,
+                               max_size=6, unique=True))
+    records = []
+    for u in uints:
+        config = AxoConfig.from_uint(u, length)
+        vals = data.draw(st.lists(finite, min_size=8, max_size=8))
+        records.append(characterize.CharRecord(
+            config, characterize.BehavMetrics(*vals[:4]),
+            characterize.PpaMetrics(config.popcount, *vals[4:])))
+    ds = characterize.CharDataset(kind, records, {"seed": str(data.draw(st.integers(0, 99)))})
+    d = tmp_path_factory.mktemp("csv")
+    export_csv(ds, d / "a.csv")
+    export_csv(import_csv(d / "a.csv"), d / "b.csv")
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
 
 def test_csv_malformed_bitstring_names_row(tmp_path, adder4_char):

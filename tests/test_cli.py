@@ -207,19 +207,43 @@ def test_exit_code_capacity(tmp_path):
     assert run("characterize", "--op", "mul:s8", "-o", tmp_path / "x.csv") == 4
 
 
-def test_supersample_enumerate_guard(tmp_path, capsys):
-    # a classifier trained on sampled patterns still refuses to enumerate
-    # 2^13 noise patterns per seed at supersampling time
+def test_supersample_uses_the_trained_noise_mode(tmp_path):
+    # a classifier trained on 2 sampled patterns of 13 noise bits is fed
+    # sampled patterns too; enumerating 2^13 per seed would be refused
     l, h, t, clf = (tmp_path / n for n in ("l.csv", "h.csv", "t.csv", "clf.fmodel"))
+    pool = tmp_path / "pool.csv"
     assert run("characterize", "--op", "adder:u4", "-o", l) == 0
     assert run("characterize", "--op", "adder:u6", "-o", h) == 0
     assert run("match", "--low", l, "--high", h, "--n-noise", 13,
                "--noise-mode", "sample:2", "-o", t) == 0
     assert run("train", "--training", t, "--n-trees", 4, "-o", clf) == 0
-    assert run("supersample", "--model", clf, "--low", l, "--factor", 1.0,
-               "-o", tmp_path / "pool.csv") == 4
-    assert "2^13" in capsys.readouterr().err
-    assert not (tmp_path / "pool.csv").exists()
+    assert "mode:sample:k=2:seed=0" in clf.read_text()
+    assert run("supersample", "--model", clf, "--low", l, "--factor", 1.0, "-o", pool) == 0
+    rows = [ln.split(",") for ln in pool.read_text().splitlines()[2:]]
+    assert rows
+    per_seed: dict[str, set] = {}
+    for r in rows:
+        per_seed.setdefault(r[2], set()).add(int(r[3]))
+    assert all(len(pats) <= 2 and max(pats) < 1 << 13 for pats in per_seed.values())
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_non_positive_behav_samples_is_usage_error(tmp_path, pipe, capsys, n):
+    msg = "needs n >= 1 operand pairs"
+    assert run("characterize", "--op", "adder:u4", "--behav-samples", n,
+               "-o", tmp_path / "c.csv") == 2
+    assert msg in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"behav_samples={n}\n")
+    assert run("characterize", "--op", "mul:s10", "--sample", 2, "--config", conf,
+               "-o", tmp_path / "c.csv") == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    assert run("dse", "--train", pipe / "h.csv", "--factor", 1.0, "--pop", 4,
+               "--generations", 1, "--validate", "--behav-samples", n,
+               "--out-dir", tmp_path / "run") == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_configs_wider_than_int64_run_every_stage(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from axokit import (
     AxoConfig,
+    CapacityError,
     Family,
     OperatorKind,
     SchemaError,
@@ -228,6 +229,15 @@ def test_supersample_width_guards(bit_model, adder4_char, adder8, mul4):
         supersample(bit_model, mul4, seeds, 2)  # output width 8 != 10
     pool = supersample(bit_model, adder8, [], 2)
     assert len(pool) == 0
+
+
+def test_supersample_enumerate_guard(adder8):
+    # 2^13 enumerated noise patterns per seed are refused before predicting
+    model = SimpleNamespace(kind="classifier", input_width=4 + 13, output_width=8)
+    seeds = [AxoConfig.from_uint(5, 4)]
+    with mock.patch.object(conss, "predict_bits_batch", side_effect=AssertionError):
+        with pytest.raises(CapacityError, match=r"2\^13"):
+            supersample(model, adder8, seeds, 13, mode=EnumerateAll())
 
 
 def test_supersample_rejects_regressor(adder4_char, adder8):

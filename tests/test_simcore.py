@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from axokit import build_netlist, evaluate, parse_kind
 from axokit.operators import AxoConfig
-from axokit import simcore
+from axokit import _simpy, simcore
 from axokit.simcore import evaluate_batch, evaluate_configs, gate_words
 
 
@@ -148,6 +148,10 @@ def test_block_matches_per_config(token, k, lanes, shared, chunk, seed):
         mp.setattr(simcore, "CHUNK_LANES", chunk)
         out, tog = evaluate_configs(net, cfgs, a, b, count_toggles=True)
         plain = evaluate_configs(net, cfgs, a, b)
+        if shared:
+            # operands packed once by the caller, chunks on whole words
+            planes = simcore._operand_planes(kind.width, a, b)
+            assert np.array_equal(evaluate_configs(net, cfgs, a, b, _planes=planes), out)
     assert out.shape == (k, lanes) and tog.shape == (k,)
     assert np.array_equal(plain, out)
     for i, cfg in enumerate(cfgs):
@@ -166,3 +170,56 @@ def test_block_operand_shape_validation():
         evaluate_configs(net, cfgs, np.zeros(8), np.zeros((2, 8)))
     with pytest.raises(ValueError):
         evaluate_configs(net, [AxoConfig.all_ones(5)], np.zeros(8), np.zeros(8))
+
+
+def alloc_run_program(prog, sig, gate):
+    """The allocate-per-op kernel that preceded the in-place one, verbatim."""
+    ones = ~np.uint64(0)
+    for k in range(prog.shape[0]):
+        op, out, i0, i1, i2, i3, flags, cfg = prog[k]
+        if op == _simpy.OP_XOR2:
+            v = sig[i0] ^ sig[i1]
+            if cfg >= 0:
+                v = v & gate[cfg]
+        elif op == _simpy.OP_BW:
+            v = (sig[i0] & sig[i1]) ^ (sig[i2] & sig[i3])
+            if flags & 1:
+                v = v ^ ones
+            if cfg >= 0:
+                v = v & gate[cfg]
+        else:
+            d = sig[i2] & sig[i3]
+            if flags & 1:
+                d = d ^ ones
+            if cfg >= 0:
+                d = d & gate[cfg]
+            s = sig[i0]
+            v = (s & sig[i1]) | (~s & d)
+        sig[out] = v
+
+
+@settings(max_examples=60, deadline=None)
+@given(token=st.sampled_from(["adder:u5", "mul:s4", "mul:s6"]),
+       words=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       classes=st.lists(st.sampled_from(["ones", "zero", "mixed"]), min_size=21, max_size=21))
+def test_in_place_kernel_matches_allocating_kernel(token, words, seed, classes):
+    """The in-place kernel leaves the same full signal table (every cell
+    row, so toggles too) as the allocate-per-op kernel, for gate rows that
+    are all-ones, all-zero or mixed, whatever the cell rows held before."""
+    net = build_netlist(parse_kind(token))
+    rng = np.random.default_rng(seed)
+    sig = rng.integers(0, 2**64, size=(net.n_signals, words), dtype=np.uint64)
+    sig[0] = 0
+    sig[1] = ~np.uint64(0)
+    gate = np.empty((net.removable_count, words), dtype=np.uint64)
+    for row, cls in zip(gate, classes):
+        if cls == "ones":
+            row[:] = ~np.uint64(0)
+        elif cls == "zero":
+            row[:] = 0
+        else:
+            row[:] = rng.integers(0, 2**64, size=words, dtype=np.uint64)
+    want = sig.copy()
+    alloc_run_program(net.instructions, want, gate)
+    _simpy.run_program(net.instructions, sig, gate)
+    assert np.array_equal(sig, want)
