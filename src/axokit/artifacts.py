@@ -2,8 +2,10 @@
 
 Tabular artifacts are UTF-8 text: ``# k=v ...`` preamble lines, a header
 line, then comma-separated rows.  Floats are written with 17 significant
-digits, so every double round-trips exactly.  Run manifests are plain
-``k=v`` lines.  Every file goes out through :func:`write_lines`, which
+digits, so every double round-trips exactly.  Config bit rows are written
+most-significant bit first, one character per bit.  The column codecs
+below handle a whole column per call.  Run manifests are plain ``k=v``
+lines.  Every file goes out through :func:`write_lines`, which
 replaces the target atomically.
 """
 
@@ -12,11 +14,50 @@ from __future__ import annotations
 import contextlib
 import os
 
+import numpy as np
+
 from .errors import SchemaError
 
 
 def fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def fmt_column(values) -> list[str]:
+    """``fmt`` of every value, formatting each distinct float64 bit pattern
+    once (so ``-0.0`` and each NaN keep their own text)."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    keys, inverse = np.unique(v.view(np.uint64), return_inverse=True)
+    text = [fmt(x) for x in keys.view(np.float64).tolist()]
+    return [text[k] for k in inverse.tolist()]
+
+
+def bitstrings(rows: np.ndarray) -> list[str]:
+    """Each (L,) 0/1 row of ``rows`` as its string l_{L-1}...l_0."""
+    n, width = rows.shape
+    text = (rows[:, ::-1] + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i:i + width] for i in range(0, n * width, width)]
+
+
+def parse_bitstrings(strings: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of ``bitstrings``: (n, width) uint8 rows, and a mask of
+    the strings that are not ``width`` characters of 0 and 1 (their rows
+    are zero)."""
+    sizes = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    # one byte per character: anything outside ASCII becomes "?"
+    digits = np.frombuffer("".join(strings).encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    bad = sizes != width
+    bad[np.searchsorted(np.cumsum(sizes), np.flatnonzero(digits > 1), side="right")] = True
+    rows = np.zeros((len(strings), width), dtype=np.uint8)
+    rows[~bad] = digits[np.repeat(~bad, sizes)].reshape(-1, width)[:, ::-1]
+    return rows, bad
+
+
+def bitstring_problem(s: str, width: int) -> str:
+    """Why ``s`` is not a ``width``-bit string of 0 and 1."""
+    if len(s) != width:
+        return f"bitstring {s!r} has width {len(s)}, expected {width}"
+    return f"malformed bitstring {s!r}"
 
 
 def preamble(meta: dict) -> str:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import fmt, preamble, read_artifact, write_lines
+from .artifacts import (
+    bitstring_problem,
+    bitstrings,
+    fmt_column,
+    parse_bitstrings,
+    preamble,
+    read_artifact,
+    write_lines,
+)
 from .characterize import (
     ActivityPolicy,
     CharDataset,
@@ -23,7 +31,7 @@ from .characterize import (
 from .errors import SchemaError, WidthMismatchError
 from .forest import ForestModel, predict_bits_batch, predict_metric
 from .matching import EnumerateAll, noise_rows
-from .operators import AxoConfig, OperatorKind, config_length, parse_kind
+from .operators import AxoConfig, OperatorKind, config_length, parse_kind, row_uints
 
 POOL_HEADER = "config_bits,config_uint,origin_l_uint,noise_pattern,source"
 POOL_HEADER_PRED = POOL_HEADER + ",pred_behav,pred_ppa"
@@ -113,24 +121,31 @@ def select_seeds(l_char: CharDataset, spec: ConstraintSpec,
 
 
 class ConssPool:
-    """Deduplicated predicted high configs plus their generation traces."""
+    """Deduplicated predicted high configs plus their generation traces.
 
-    def __init__(self, kind: OperatorKind, configs: list[AxoConfig],
+    The configs are ``bits``, (n, L) uint8 rows with bit 0 first, and
+    ``uints``, their exact UINTs; ``configs`` builds AxoConfig objects
+    from the rows for callers that need them.
+    """
+
+    def __init__(self, kind: OperatorKind, bits: np.ndarray,
                  trace: list[tuple[int, int]], source: str = "conss",
                  predicted: dict[str, np.ndarray] | None = None,
                  validated: CharDataset | None = None,
                  meta: dict | None = None):
-        if len(configs) != len(trace):
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2 or bits.shape[1] != config_length(kind):
+            raise WidthMismatchError("pool config length does not match kind")
+        if len(bits) != len(trace):
             raise ValueError("trace must align with configs")
-        uints = [c.uint for c in configs]
+        if bits.max(initial=0) > 1:
+            raise ValueError("config bits must be 0 or 1")
+        uints = row_uints(bits)
         if len(set(uints)) != len(uints):
             raise ValueError("pool configs must be unique by UINT")
-        length = config_length(kind)
-        for c in configs:
-            if len(c) != length:
-                raise WidthMismatchError("pool config length does not match kind")
         self.kind = kind
-        self.configs = configs
+        self.bits = bits
+        self.uints = uints
         self.trace = trace
         self.source = source
         self.predicted = predicted
@@ -138,43 +153,40 @@ class ConssPool:
         self.meta = dict(meta or {})
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.bits)
 
-    def config_matrix(self) -> np.ndarray:
-        return np.asarray([c.bits for c in self.configs], dtype=np.uint8)
+    @property
+    def configs(self) -> list[AxoConfig]:
+        return [AxoConfig(tuple(row)) for row in self.bits.tolist()]
 
 
 def supersample(model: ForestModel, high_kind: OperatorKind, seeds: list[AxoConfig],
                 n_noise: int, mode=EnumerateAll(), source: str = "conss") -> ConssPool:
     """Predict one high config per ``noise_rows`` row of the seeds, the row
-    layout the classifier was trained on; dedup by UINT keeping the first
-    trace; all-zeros predictions are dropped."""
+    layout the classifier was trained on.  The pool keeps the predicted
+    rows in ascending UINT order, each with the trace of the first row
+    that predicted it; all-zeros predictions are dropped."""
     if model.kind != "classifier":
         raise ValueError("supersample needs a classifier model")
+    length = config_length(high_kind)
     if not seeds:
-        return ConssPool(high_kind, [], [], source)
+        return ConssPool(high_kind, np.zeros((0, length), dtype=np.uint8), [], source)
     l_len = len(seeds[0].bits)
     if model.input_width != l_len + n_noise:
         raise WidthMismatchError(
             f"model expects {model.input_width} input bits, "
             f"seeds + noise give {l_len + n_noise}"
         )
-    if model.output_width != config_length(high_kind):
+    if model.output_width != length:
         raise WidthMismatchError("model output width does not match high kind")
     rows, per_seed = noise_rows(seeds, n_noise, mode)
     origins = [(s.uint, v) for s, pats in zip(seeds, per_seed) for v in pats]
     pred = predict_bits_batch(model, rows)
-    seen: dict[int, tuple[int, int]] = {}
-    for bits, origin in zip(pred, origins):
-        cfg = AxoConfig(tuple(int(b) for b in bits))
-        if cfg.uint == 0 or cfg.uint in seen:
-            continue
-        seen[cfg.uint] = origin
-    order = sorted(seen)
-    length = config_length(high_kind)
-    configs = [AxoConfig.from_uint(u, length) for u in order]
-    trace = [seen[u] for u in order]
-    return ConssPool(high_kind, configs, trace, source,
+    # walking the rows backwards leaves each UINT at its first row
+    first = {u: i for i, u in reversed(list(enumerate(row_uints(pred))))}
+    first.pop(0, None)
+    keep = [first[u] for u in sorted(first)]
+    return ConssPool(high_kind, pred[keep], [origins[i] for i in keep], source,
                      meta={"n_noise": str(n_noise), "n_seeds": str(len(seeds))})
 
 
@@ -206,12 +218,11 @@ def evaluate_pool(pool: ConssPool, metric_source) -> ConssPool:
     if len(pool) == 0:
         raise ValueError("cannot evaluate an empty pool")
     if isinstance(metric_source, Estimators):
-        X = pool.config_matrix()
         predicted = {
-            metric_source.behav_metric: predict_metric(metric_source.behav_est, X),
-            metric_source.ppa_metric: predict_metric(metric_source.ppa_est, X),
+            metric_source.behav_metric: predict_metric(metric_source.behav_est, pool.bits),
+            metric_source.ppa_metric: predict_metric(metric_source.ppa_est, pool.bits),
         }
-        return ConssPool(pool.kind, pool.configs, pool.trace, pool.source,
+        return ConssPool(pool.kind, pool.bits, pool.trace, pool.source,
                          predicted=predicted, validated=pool.validated, meta=pool.meta)
     if isinstance(metric_source, ProxyCharacterize):
         ds = characterize_dataset(
@@ -219,7 +230,7 @@ def evaluate_pool(pool: ConssPool, metric_source) -> ConssPool:
             metric_source.activity_policy, seed=metric_source.seed,
             weights=metric_source.weights,
         )
-        return ConssPool(pool.kind, pool.configs, pool.trace, pool.source,
+        return ConssPool(pool.kind, pool.bits, pool.trace, pool.source,
                          predicted=pool.predicted, validated=ds, meta=pool.meta)
     raise TypeError(f"unknown metric source {metric_source!r}")
 
@@ -232,16 +243,17 @@ def export_pool_csv(pool: ConssPool, path, behav_metric: str = "avg_abs_rel_err"
         meta["ppa_metric"] = ppa_metric
     lines = [preamble(meta),
              POOL_HEADER_PRED if pool.predicted is not None else POOL_HEADER]
-    for i, (cfg, (lu, pat)) in enumerate(zip(pool.configs, pool.trace)):
-        row = [cfg.bitstring(), str(cfg.uint), str(lu), str(pat), pool.source]
-        if pool.predicted is not None:
-            row.append(fmt(pool.predicted[behav_metric][i]))
-            row.append(fmt(pool.predicted[ppa_metric][i]))
-        lines.append(",".join(row))
-    write_lines(path, lines)
+    rows = [f"{b},{u},{lu},{pat},{pool.source}"
+            for b, u, (lu, pat) in zip(bitstrings(pool.bits), pool.uints, pool.trace)]
+    if pool.predicted is not None:
+        rows = [f"{r},{b},{p}" for r, b, p in zip(rows, fmt_column(pool.predicted[behav_metric]),
+                                                 fmt_column(pool.predicted[ppa_metric]))]
+    write_lines(path, lines + rows)
 
 
 def import_pool_csv(path) -> ConssPool:
+    """Read a pool CSV; a malformed row raises SchemaError naming the
+    first bad row's line."""
     meta, raw, i = read_artifact(path)
     if "kind" not in meta:
         raise SchemaError(f"{path}: preamble missing kind=")
@@ -250,30 +262,41 @@ def import_pool_csv(path) -> ConssPool:
     has_pred = raw[i] == POOL_HEADER_PRED
     kind = parse_kind(meta.pop("kind"))
     source = meta.pop("source", "conss")
-    configs, trace = [], []
-    pb, pp = [], []
     n_fields = 7 if has_pred else 5
+    rownos, strings, uints, trace, preds = [], [], [], [], []
+    error = None  # the first row whose other fields do not parse
     for rowno, ln in enumerate(raw[i + 1:], start=i + 2):
         if not ln:
             continue
         parts = ln.split(",")
-        if len(parts) != n_fields:
-            raise SchemaError(f"{path}:{rowno}: expected {n_fields} fields")
         try:
-            cfg = AxoConfig.from_bitstring(parts[0])
-            if int(parts[1]) != cfg.uint:
-                raise ValueError("config_uint mismatch")
-            trace.append((int(parts[2]), int(parts[3])))
-            if has_pred:
-                pb.append(float(parts[5]))
-                pp.append(float(parts[6]))
+            if len(parts) != n_fields:
+                raise ValueError(f"expected {n_fields} fields")
+            uint, lu, pat = int(parts[1]), int(parts[2]), int(parts[3])
+            pred = (float(parts[5]), float(parts[6])) if has_pred else ()
         except ValueError as e:
-            raise SchemaError(f"{path}:{rowno}: {e}") from e
-        configs.append(cfg)
+            error = SchemaError(f"{path}:{rowno}: {e}")
+            break
+        rownos.append(rowno)
+        strings.append(parts[0])
+        uints.append(uint)
+        trace.append((lu, pat))
+        preds.append(pred)
+    # the bit rows are checked as one column, up to the first scalar error
+    length = config_length(kind)
+    bits, bad = parse_bitstrings(strings, length)
+    mismatch = [u != v for u, v in zip(row_uints(bits), uints)]
+    first = np.flatnonzero(bad | np.asarray(mismatch, dtype=bool))
+    if first.size:
+        k = first[0]
+        why = bitstring_problem(strings[k], length) if bad[k] else "config_uint mismatch"
+        raise SchemaError(f"{path}:{rownos[k]}: {why}")
+    if error is not None:
+        raise error
     predicted = None
     if has_pred:
         predicted = {
-            meta.get("behav_metric", "avg_abs_rel_err"): np.asarray(pb),
-            meta.get("ppa_metric", "pdplut"): np.asarray(pp),
+            meta.get("behav_metric", "avg_abs_rel_err"): np.asarray([p[0] for p in preds]),
+            meta.get("ppa_metric", "pdplut"): np.asarray([p[1] for p in preds]),
         }
-    return ConssPool(kind, configs, trace, source, predicted=predicted, meta=meta)
+    return ConssPool(kind, bits, trace, source, predicted=predicted, meta=meta)

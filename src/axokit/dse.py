@@ -29,7 +29,7 @@ from .characterize import (
 )
 from .conss import ConssPool, ConstraintSpec, pareto_mask
 from .errors import SchemaError
-from .operators import AxoConfig, OperatorKind, config_length
+from .operators import AxoConfig, OperatorKind, config_length, row_uints
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,6 @@ def _fix_all_zeros(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return bits
 
 
-def _uints(rows: np.ndarray) -> list[int]:
-    """UINT of each (L,) uint8 row, bit 0 least significant; exact for any L."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") for i in range(len(rows))]
-
-
 def _per_config(fitness):
     """The batch contract over a per-config ``fitness(config) -> (behav, ppa)``,
     called once per row in row order."""
@@ -255,7 +248,7 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     feasible_uints: set[int] = set()
 
     def evaluate(rows: np.ndarray) -> list[Individual]:
-        uints = _uints(rows)
+        uints = row_uints(rows)
         missing: dict[int, int] = {}  # uint -> first row holding it
         for i, u in enumerate(uints):
             if u not in cache and u not in missing:
@@ -283,8 +276,8 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
     # random complement keeps early exploration alive.
     init: list[np.ndarray] = []
     if initial_pool is not None and len(initial_pool):
-        pool_cfgs = list(initial_pool.configs)
-        if len(pool_cfgs) > params.population_size:
+        pool_rows = initial_pool.bits
+        if len(pool_rows) > params.population_size:
             share = max(1, params.population_size // 2)
             if initial_pool.predicted:
                 bm, pm = (_pool_predictions(initial_pool, m)
@@ -293,10 +286,10 @@ def run_ga(kind: OperatorKind, fitness, constraints: ConstraintSpec,
                 front = np.flatnonzero(mask)
                 if len(front) > share:
                     front = front[_spread_subset(bm[front], pm[front], share)]
-                pool_cfgs = [pool_cfgs[i] for i in front]
+                pool_rows = pool_rows[front]
             else:
-                pool_cfgs = pool_cfgs[:share]
-        init = [np.asarray(c.bits, dtype=np.uint8) for c in pool_cfgs[: params.population_size]]
+                pool_rows = pool_rows[:share]
+        init = list(pool_rows[: params.population_size])
     while len(init) < params.population_size:
         init.append(random_config())
 

@@ -3,8 +3,12 @@
 Two learners share one tree engine: a multi-output bit classifier (one
 forest predicts the whole output bit-vector; leaves hold per-bit vote
 fractions) and per-metric regressors (leaves hold means).  Features are
-raw config bits, so every split threshold is 0.5 and impurity sums are
-computed for all candidate features at once with a single matrix product.
+raw config bits, so every split threshold is 0.5, and one matrix product
+per node gives the x=1 side's target sums for all candidate features at
+once.  The classifier's targets are 0/1, so its sums are exact integers:
+the chosen split's two sides, their Gini impurities and, at the leaves,
+the vote fractions are carried down the tree instead of being summed
+again from the rows.
 
 Zero-gain splits are accepted while a node is impure and some candidate
 feature still separates it; with bootstrap off, all features, and unique
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import fmt, write_lines
+from .artifacts import fmt_column, write_lines
 from .characterize import CharDataset
 from .errors import ModelFormatError, WidthMismatchError
 from .matching import TrainingSet
@@ -45,6 +49,8 @@ class ForestParams:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
 
     def n_candidates(self, n_features: int) -> int:
         if self.features_per_split == "all":
@@ -159,94 +165,102 @@ def _forest_depth(roots: np.ndarray, feature: np.ndarray, left: np.ndarray,
     return depth
 
 
-def _gini_total(counts: np.ndarray, n: int) -> float:
-    # multi-output Gini: sum over bits of 2 p (1-p)
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float((2.0 * p * (1.0 - p)).sum())
-
-
 def _build_tree(X: np.ndarray, Y: np.ndarray, idx: np.ndarray,
                 params: ForestParams, rng: np.random.Generator, classifier: bool) -> _Tree:
+    """One tree over the rows ``idx``, built depth first, left child first.
+
+    A classifier's ``Y`` ends in a column of ones (see ``_train_forest``),
+    so the split product also counts each candidate's x=1 rows.  Its
+    targets are 0/1, so every sum is an exact integer: a node's sums and
+    Gini come down from the split that made it, and a leaf's payload is
+    its sums over its row count, which is ``Y[rows].mean(axis=0)`` bit for
+    bit.  A regressor's sums are float products, so each of its nodes sums
+    its own gathered rows.
+    """
     n_features = X.shape[1]
-    feature, left, right, payload = [], [], [], []
     max_depth = params.max_depth if params.max_depth is not None else np.inf
     min_leaf = params.min_samples_leaf
+    m = params.n_candidates(n_features)
+    feature, left, right = [], [], []
+    leaves, leaf_means = [], []
 
-    def impurity_stats(rows):
-        y = Y[rows]
-        n = rows.size
-        s = y.sum(axis=0)
-        if classifier:
-            return _gini_total(s, n), s
-        ss = (y * y).sum(axis=0)
-        return float((ss - s * s / n).sum()), s
-
-    def new_leaf(rows):
-        feature.append(-1)
-        left.append(-1)
-        right.append(-1)
-        payload.append(Y[rows].mean(axis=0))
-        return len(feature) - 1
-
-    stack = [(idx, 0, -1, False)]  # rows, depth, parent, is_right
-    while stack:
-        rows, depth, parent, is_right = stack.pop()
-        imp, _ = impurity_stats(rows)
-        node_id = None
-        if imp <= 1e-12 or depth >= max_depth or rows.size < 2 * min_leaf:
-            node_id = new_leaf(rows)
-        else:
-            m = params.n_candidates(n_features)
-            if m >= n_features:
-                cand = np.arange(n_features)
-            else:
-                cand = np.sort(rng.choice(n_features, size=m, replace=False))
-            Xc = X[rows][:, cand].astype(np.float64)
+    s = g = None
+    if classifier:  # multi-output Gini: the sum over bits of 2 p (1 - p)
+        s = Y[idx].sum(axis=0)[:-1]
+        p = s / idx.size
+        g = (2 * p * (1 - p)).sum()
+    stack = [(idx, 0, -1, False, s, g)]  # rows, depth, parent, is_right, sums, impurity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while stack:
+            rows, depth, parent, is_right, s, imp = stack.pop()
             n = rows.size
-            n1 = Xc.sum(axis=0)
-            n0 = n - n1
-            yc = Y[rows]
-            s1 = Xc.T @ yc            # (m, out) sums on the x=1 side
-            s_all = yc.sum(axis=0)
-            s0 = s_all - s1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if classifier:
-                    p1 = np.where(n1[:, None] > 0, s1 / n1[:, None], 0.0)
-                    p0 = np.where(n0[:, None] > 0, s0 / n0[:, None], 0.0)
-                    child = (n1 * (2 * p1 * (1 - p1)).sum(axis=1)
-                             + n0 * (2 * p0 * (1 - p0)).sum(axis=1)) / n
+            if not classifier:
+                y = Y[rows]
+                s = y.sum(axis=0)
+                ss = (y * y).sum(axis=0)
+                imp = float((ss - s * s / n).sum())
+            node_id = len(feature)
+            if parent >= 0:
+                (right if is_right else left)[parent] = node_id
+            feature.append(-1)
+            left.append(-1)
+            right.append(-1)
+            split = not imp <= 1e-12 and depth < max_depth and n >= 2 * min_leaf
+            if split:
+                if m >= n_features:
+                    cand = np.arange(n_features)
                 else:
-                    ss1 = Xc.T @ (yc * yc)
-                    ss0 = (yc * yc).sum(axis=0) - ss1
+                    cand = np.sort(rng.choice(n_features, size=m, replace=False))
+                # keep this expression: its result is Fortran-ordered, and the
+                # regressors' BLAS products below round by that layout
+                Xc = X[rows][:, cand].astype(np.float64)
+                if classifier:
+                    both = Xc.T @ Y[rows]
+                    s1 = both[:, :-1]
+                    # the first m entries are the candidates' x=1 sides, the last m their x=0 sides
+                    sides = np.concatenate([s1, s - s1])
+                    ns = np.concatenate([both[:, -1], n - both[:, -1]])
+                    p = np.divide(sides, ns[:, None], out=np.zeros_like(sides),
+                                  where=ns[:, None] > 0)
+                    gini = (2 * p * (1 - p)).sum(axis=1)
+                    weighted = ns * gini
+                    child = (weighted[:m] + weighted[m:]) / n
+                    n1, n0 = ns[:m], ns[m:]
+                else:
+                    n1 = Xc.sum(axis=0)
+                    n0 = n - n1
+                    s1 = Xc.T @ y
+                    s0 = s - s1
+                    ss1 = Xc.T @ (y * y)
+                    ss0 = ss - ss1
                     v1 = np.where(n1[:, None] > 0, ss1 - s1 * s1 / n1[:, None], 0.0)
                     v0 = np.where(n0[:, None] > 0, ss0 - s0 * s0 / n0[:, None], 0.0)
                     child = (v1.sum(axis=1) + v0.sum(axis=1)) / n
-            valid = (n1 >= min_leaf) & (n0 >= min_leaf)
-            if not valid.any():
-                node_id = new_leaf(rows)
+                valid = (n1 >= min_leaf) & (n0 >= min_leaf)
+                split = valid.any()
+            if not split:
+                leaves.append(node_id)
+                leaf_means.append(s / n)
+                continue
+            best = int(np.argmin(np.where(valid, child, np.inf)))  # first minimum: lowest feature
+            feature[node_id] = int(cand[best])
+            mask = Xc[:, best] > 0
+            # push right first so left is built first (stable layout)
+            if classifier:
+                stack.append((rows[mask], depth + 1, node_id, True, sides[best], gini[best]))
+                stack.append((rows[~mask], depth + 1, node_id, False, sides[m + best],
+                               gini[m + best]))
             else:
-                child = np.where(valid, child, np.inf)
-                best = int(np.argmin(child))  # first minimum: lowest feature
-                f = int(cand[best])
-                mask = X[rows, f] > 0
-                node_id = len(feature)
-                feature.append(f)
-                left.append(0)
-                right.append(0)
-                payload.append(np.zeros(Y.shape[1]))
-                # push right first so left is built first (stable layout)
-                stack.append((rows[mask], depth + 1, node_id, True))
-                stack.append((rows[~mask], depth + 1, node_id, False))
-        if parent >= 0:
-            (right if is_right else left)[parent] = node_id
+                stack.append((rows[mask], depth + 1, node_id, True, None, None))
+                stack.append((rows[~mask], depth + 1, node_id, False, None, None))
 
+    payload = np.zeros((len(feature), leaf_means[0].size), dtype=np.float64)
+    payload[leaves] = leaf_means
     return _Tree(
         feature=np.asarray(feature, dtype=np.int32),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
-        payload=np.asarray(payload, dtype=np.float64),
+        payload=payload,
     )
 
 
@@ -254,6 +268,8 @@ def _train_forest(X: np.ndarray, Y: np.ndarray, params: ForestParams,
                   classifier: bool) -> list[_Tree]:
     n = X.shape[0]
     Y = Y.astype(np.float64)
+    if classifier:
+        Y = np.hstack([Y, np.ones((n, 1))])
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((int(params.seed), _TAG_TREE, t)))
@@ -404,7 +420,7 @@ def save_model(model: ForestModel, path) -> None:
         lines.append("feature=" + " ".join(map(str, t.feature.tolist())))
         lines.append("left=" + " ".join(map(str, t.left.tolist())))
         lines.append("right=" + " ".join(map(str, t.right.tolist())))
-        lines.append("payload=" + " ".join(fmt(v) for v in t.payload.ravel().tolist()))
+        lines.append("payload=" + " ".join(fmt_column(t.payload)))
     body = "\n".join(lines) + "\n"
     lines.append("checksum=" + hashlib.sha256(body.encode("utf-8")).hexdigest())
     write_lines(path, lines)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import preamble, read_artifact, write_lines
+from .artifacts import (
+    bitstring_problem,
+    bitstrings,
+    parse_bitstrings,
+    preamble,
+    read_artifact,
+    write_lines,
+)
 from .characterize import CharDataset
 from .errors import CapacityError, SchemaError
 from .operators import AxoConfig, OperatorKind, config_length, parse_kind
@@ -186,42 +193,46 @@ def augment_with_noise(m: MatchDataset, n_noise: int, mode=EnumerateAll()) -> Tr
 
 
 def export_training_csv(t: TrainingSet, path) -> None:
-    lines = [preamble(t.meta), TRAINING_HEADER]
-    for x, y in zip(t.X, t.Y):
-        xi = "".join(str(b) for b in x[::-1])
-        yi = "".join(str(b) for b in y[::-1])
-        lines.append(f"{xi},{yi}")
-    write_lines(path, lines)
+    rows = [f"{x},{y}" for x, y in zip(bitstrings(t.X), bitstrings(t.Y))]
+    write_lines(path, [preamble(t.meta), TRAINING_HEADER] + rows)
 
 
 def import_training_csv(path) -> TrainingSet:
+    """Read a training CSV; a malformed row raises SchemaError naming the
+    first bad row's line."""
     meta, raw, i = read_artifact(path)
     if i >= len(raw) or raw[i] != TRAINING_HEADER:
         raise SchemaError(f"{path}: bad training header")
     if "n_noise" not in meta:
         raise SchemaError(f"{path}: preamble missing n_noise=")
     n_noise = int(meta["n_noise"])
-    xs, ys = [], []
+    rownos, xs, ys = [], [], []
+    error = None  # the first row that is not two non-empty fields
     for rowno, ln in enumerate(raw[i + 1:], start=i + 2):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise SchemaError(f"{path}:{rowno}: expected input_bits,output_bits")
-        for s in parts:
-            if any(c not in "01" for c in s):
-                raise SchemaError(f"{path}:{rowno}: malformed bitstring {s!r}")
-        xs.append([int(c) for c in parts[0][::-1]])
-        ys.append([int(c) for c in parts[1][::-1]])
+            error = SchemaError(f"{path}:{rowno}: expected input_bits,output_bits")
+            break
+        rownos.append(rowno)
+        xs.append(parts[0])
+        ys.append(parts[1])
     if not xs:
-        raise SchemaError(f"{path}: no training rows")
-    widths_x = {len(r) for r in xs}
-    widths_y = {len(r) for r in ys}
-    if len(widths_x) != 1 or len(widths_y) != 1:
-        raise SchemaError(f"{path}: inconsistent bitstring widths")
+        raise error or SchemaError(f"{path}: no training rows")
+    # bit columns are checked whole, up to the first row with bad fields
+    wx, wy = len(xs[0]), len(ys[0])
     if "low_kind" in meta:
-        expect = config_length(parse_kind(meta["low_kind"])) + n_noise
-        if widths_x != {expect}:
-            raise SchemaError(f"{path}: input width {widths_x} != low kind + noise {expect}")
-    return TrainingSet(np.asarray(xs, dtype=np.uint8), np.asarray(ys, dtype=np.uint8),
-                       n_noise, meta)
+        wx = config_length(parse_kind(meta["low_kind"])) + n_noise
+    if "high_kind" in meta:
+        wy = config_length(parse_kind(meta["high_kind"]))
+    X, bad_x = parse_bitstrings(xs, wx)
+    Y, bad_y = parse_bitstrings(ys, wy)
+    first = np.flatnonzero(bad_x | bad_y)
+    if first.size:
+        k = first[0]
+        why = bitstring_problem(xs[k], wx) if bad_x[k] else bitstring_problem(ys[k], wy)
+        raise SchemaError(f"{path}:{rownos[k]}: {why}")
+    if error is not None:
+        raise error
+    return TrainingSet(X, Y, n_noise, meta)

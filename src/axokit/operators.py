@@ -163,6 +163,13 @@ class AxoConfig:
         return cls(tuple(int(c) for c in reversed(s)))
 
 
+def row_uints(rows: np.ndarray) -> list[int]:
+    """UINT of each (L,) 0/1 row, bit 0 least significant; exact for any L."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") for i in range(len(rows))]
+
+
 @dataclass(frozen=True)
 class NetlistCell:
     """One LUT or carry-chain element.

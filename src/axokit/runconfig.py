@@ -7,6 +7,8 @@ values; file values override the built-in defaults below.
 
 from __future__ import annotations
 
+import math
+
 from .characterize import METRICS, ProxyWeights
 from .dse import GaParams
 from .errors import SchemaError
@@ -78,6 +80,9 @@ class RunConfig:
             if self._v[key] not in METRICS:
                 raise ValueError(f"unknown {key} {self._v[key]!r} "
                                  f"(valid: {', '.join(METRICS)})")
+        for key in ("lut_delay", "carry_delay", "unit_energy"):
+            if not (math.isfinite(self._v[key]) and self._v[key] >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {self._v[key]!r}")
 
     def __getattr__(self, key):
         try:

@@ -334,3 +334,12 @@ def test_dse_pool_predictions_follow_the_search_metrics(pipe, tmp_path):
     assert run(*dse, *same, "--out-dir", tmp_path / "same") == 0
     # and cannot seed a search on a metric it has no predictions for
     assert run(*dse, "--out-dir", tmp_path / "other") == 3
+
+
+@pytest.mark.parametrize("line", ["lut_delay=nan", "carry_delay=inf", "unit_energy=-1"])
+def test_non_finite_or_negative_proxy_weight_is_usage_error(tmp_path, capsys, line):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "ds.csv"
+    cfg.write_text(line + "\n")
+    assert run("characterize", "--op", "adder:u4", "--config", cfg, "-o", out) == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()

@@ -295,19 +295,21 @@ def test_threads_start_no_thread(mul4_char, small_pool, monkeypatch):
 
 def test_evaluate_pool_guards(small_pool, adder8):
     with pytest.raises(ValueError):
-        evaluate_pool(ConssPool(adder8, [], [], "x"), Exhaustive())
+        evaluate_pool(ConssPool(adder8, np.zeros((0, 8)), [], "x"), Exhaustive())
     with pytest.raises(TypeError):
         evaluate_pool(small_pool, object())
 
 
 def test_pool_validation(adder8):
-    c = AxoConfig.from_uint(5, 8)
+    c = AxoConfig.from_uint(5, 8).as_array()
     with pytest.raises(ValueError):
         ConssPool(adder8, [c, c], [(1, 0), (1, 1)], "x")
     with pytest.raises(ValueError):
         ConssPool(adder8, [c], [], "x")
+    with pytest.raises(ValueError):
+        ConssPool(adder8, [c * 2], [(1, 0)], "x")
     with pytest.raises(WidthMismatchError):
-        ConssPool(adder8, [AxoConfig.from_uint(3, 4)], [(1, 0)], "x")
+        ConssPool(adder8, [AxoConfig.from_uint(3, 4).as_array()], [(1, 0)], "x")
 
 
 def test_pool_csv_round_trip(small_pool, adder8_char, tmp_path):

@@ -282,7 +282,7 @@ def make_pool(kind, uints, predicted=False):
             "behav": np.asarray([u / 256.0 for u in uints]),
             "ppa": np.asarray([1.0 - u / 256.0 for u in uints]),
         }
-    return ConssPool(kind, cfgs, trace, "conss", predicted=pred)
+    return ConssPool(kind, [c.as_array() for c in cfgs], trace, "conss", predicted=pred)
 
 
 def test_ga_small_pool_enters_whole(adder8):
@@ -429,7 +429,7 @@ def test_ga_batch_fitness_matches_per_config(mul4):
 
 def test_ga_pool_reads_predictions_by_metric(adder8):
     uints = list(range(10, 70, 2))
-    cfgs = [AxoConfig.from_uint(u, 8) for u in uints]
+    cfgs = [AxoConfig.from_uint(u, 8).as_array() for u in uints]
     pred = {"m": np.asarray([u / 256.0 for u in uints])}
     pool = ConssPool(adder8, cfgs, [(0, 0)] * len(cfgs), "conss", predicted=pred)
     same = ConstraintSpec(1e9, 1e9, 1.0, "m", "m", "test")

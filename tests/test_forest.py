@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axokit import ModelFormatError, WidthMismatchError
+from axokit import forest
 from axokit.forest import (
     ForestModel,
     ForestParams,
@@ -218,6 +219,8 @@ def test_params_validation():
         ForestParams(n_trees=0)
     with pytest.raises(ValueError):
         ForestParams(max_depth=0)
+    with pytest.raises(ValueError):
+        ForestParams(min_samples_leaf=0)
     assert ForestParams(features_per_split="sqrt").n_candidates(16) == 4
     assert ForestParams(features_per_split="all").n_candidates(9) == 9
     assert ForestParams(features_per_split=3).n_candidates(2) == 2
@@ -388,3 +391,112 @@ def test_load_rejects_cyclic_tree_without_hanging(tmp_path):
     except subprocess.TimeoutExpired:
         pytest.fail("a cyclic node table loaded and its prediction did not finish")
     assert r.returncode == 3, r.stderr.decode()
+
+
+def per_node_build_tree(X, Y, idx, params, rng, classifier):
+    """The per-node builder that carried sums replaced: every node gathers
+    and sums its own rows, and every leaf averages them."""
+    n_features = X.shape[1]
+    feature, left, right, payload = [], [], [], []
+    max_depth = params.max_depth if params.max_depth is not None else np.inf
+    min_leaf = params.min_samples_leaf
+
+    def impurity_stats(rows):
+        y = Y[rows]
+        n = rows.size
+        s = y.sum(axis=0)
+        if classifier:
+            p = s / n
+            return float((2.0 * p * (1.0 - p)).sum()) if n else 0.0
+        ss = (y * y).sum(axis=0)
+        return float((ss - s * s / n).sum())
+
+    def new_leaf(rows):
+        feature.append(-1)
+        left.append(-1)
+        right.append(-1)
+        payload.append(Y[rows].mean(axis=0))
+        return len(feature) - 1
+
+    stack = [(idx, 0, -1, False)]
+    while stack:
+        rows, depth, parent, is_right = stack.pop()
+        imp = impurity_stats(rows)
+        if imp <= 1e-12 or depth >= max_depth or rows.size < 2 * min_leaf:
+            node_id = new_leaf(rows)
+        else:
+            m = params.n_candidates(n_features)
+            if m >= n_features:
+                cand = np.arange(n_features)
+            else:
+                cand = np.sort(rng.choice(n_features, size=m, replace=False))
+            Xc = X[rows][:, cand].astype(np.float64)
+            n = rows.size
+            n1 = Xc.sum(axis=0)
+            n0 = n - n1
+            yc = Y[rows]
+            s1 = Xc.T @ yc
+            s0 = yc.sum(axis=0) - s1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if classifier:
+                    p1 = np.where(n1[:, None] > 0, s1 / n1[:, None], 0.0)
+                    p0 = np.where(n0[:, None] > 0, s0 / n0[:, None], 0.0)
+                    child = (n1 * (2 * p1 * (1 - p1)).sum(axis=1)
+                             + n0 * (2 * p0 * (1 - p0)).sum(axis=1)) / n
+                else:
+                    ss1 = Xc.T @ (yc * yc)
+                    ss0 = (yc * yc).sum(axis=0) - ss1
+                    v1 = np.where(n1[:, None] > 0, ss1 - s1 * s1 / n1[:, None], 0.0)
+                    v0 = np.where(n0[:, None] > 0, ss0 - s0 * s0 / n0[:, None], 0.0)
+                    child = (v1.sum(axis=1) + v0.sum(axis=1)) / n
+            valid = (n1 >= min_leaf) & (n0 >= min_leaf)
+            if not valid.any():
+                node_id = new_leaf(rows)
+            else:
+                best = int(np.argmin(np.where(valid, child, np.inf)))
+                f = int(cand[best])
+                mask = X[rows, f] > 0
+                node_id = len(feature)
+                feature.append(f)
+                left.append(0)
+                right.append(0)
+                payload.append(np.zeros(Y.shape[1]))
+                stack.append((rows[mask], depth + 1, node_id, True))
+                stack.append((rows[~mask], depth + 1, node_id, False))
+        if parent >= 0:
+            (right if is_right else left)[parent] = node_id
+    return _Tree(np.asarray(feature, dtype=np.int32), np.asarray(left, dtype=np.int32),
+                 np.asarray(right, dtype=np.int32), np.asarray(payload, dtype=np.float64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(classifier=st.booleans(), n=st.integers(2, 200), n_features=st.integers(1, 12),
+       n_out=st.integers(1, 24), bootstrap=st.booleans(),
+       features=st.sampled_from(["sqrt", "all", 1, 2, 5]),
+       min_leaf=st.integers(1, 3), depth=st.sampled_from([None, 1, 3, 8]),
+       p_one=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_carried_sums_build_the_per_node_trees(classifier, n, n_features, n_out, bootstrap,
+                                                features, min_leaf, depth, p_one, seed):
+    """Trees built from sums carried down the tree equal the per-node
+    builder's, node table and payload bytes alike."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, n_features)) < p_one).astype(np.uint8)
+    if classifier:
+        Y = (rng.random((n, n_out)) < p_one).astype(np.uint8)
+    else:
+        Y = np.round(rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-3, 4), 2)
+        Y[rng.random(n) < 0.02] = rng.choice([np.inf, -np.inf, np.nan])
+    params = ForestParams(n_trees=3, max_depth=depth, min_samples_leaf=min_leaf,
+                          features_per_split=features, bootstrap=bootstrap, seed=seed % 97)
+    got = forest._train_forest(X, Y, params, classifier)
+    assert len(got) == params.n_trees
+    for t, a in enumerate(got):
+        r = np.random.default_rng(np.random.SeedSequence((params.seed, forest._TAG_TREE, t)))
+        idx = np.sort(r.integers(0, n, size=n)) if bootstrap else np.arange(n)
+        with np.errstate(invalid="ignore"):
+            b = per_node_build_tree(X, Y.astype(np.float64), idx.astype(np.intp), params, r,
+                                    classifier)
+        assert np.array_equal(a.feature, b.feature)
+        assert np.array_equal(a.left, b.left)
+        assert np.array_equal(a.right, b.right)
+        assert a.payload.tobytes() == b.payload.tobytes()
