@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,24 +30,6 @@ from .characterize import (
     import_csv,
     sample_configs,
 )
-from .conss import (
-    ConstraintSpec,
-    Estimators,
-    derive_constraints,
-    evaluate_pool,
-    export_pool_csv,
-    import_pool_csv,
-    select_seeds,
-    supersample,
-)
-from .dse import (
-    ParetoFront,
-    feasible_front,
-    hypervolume_2d,
-    pareto_front,
-    run_ga,
-    validate_front,
-)
 from .errors import (
     CapacityError,
     DuplicateConfigError,
@@ -55,34 +38,13 @@ from .errors import (
     SchemaError,
     WidthMismatchError,
 )
-from .forest import (
-    load_model,
-    predict_metric,
-    regressor_grid,
-    save_model,
-    train_classifier,
-    train_regressor,
-)
-from .matching import (
-    EnumerateAll,
-    SamplePatterns,
-    augment_with_noise,
-    export_training_csv,
-    import_training_csv,
-    match_datasets,
-    parse_noise_mode,
-)
 from .operators import AxoConfig, config_length, enumerate_configs, parse_kind
 from .runconfig import load_runconfig
-from .stats import (
-    DistanceKind,
-    distance_histogram,
-    elbow_pick,
-    kmeans,
-    minmax_scale,
-    sse_curve,
-    windowed_trend,
-)
+
+# The stage modules (conss, dse, forest, matching, stats) are imported by
+# the commands that use them, so that ``characterize`` loads none of them.
+if TYPE_CHECKING:
+    from .dse import ParetoFront
 
 EXHAUSTIVE_DEFAULT_BITS = 16
 FRONT_HEADER = "config_bits,config_uint,behav,ppa"
@@ -149,6 +111,9 @@ def cmd_characterize(args) -> int:
 # -- analyze ----------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .stats import (DistanceKind, distance_histogram, elbow_pick, kmeans,
+                        minmax_scale, sse_curve, windowed_trend)
+
     cfg = load_runconfig(args.config, {"seed": args.seed,
                                        "behav_metric": args.behav_metric,
                                        "ppa_metric": args.ppa_metric})
@@ -211,12 +176,20 @@ def cmd_analyze(args) -> int:
 # -- match ------------------------------------------------------------
 
 def cmd_match(args) -> int:
+    from .matching import (EnumerateAll, SamplePatterns, augment_with_noise,
+                           export_training_csv, match_datasets)
+    from .stats import DistanceKind
+
     cfg = load_runconfig(args.config, {"seed": args.seed, "n_noise": args.n_noise,
                                        "behav_metric": args.behav_metric,
                                        "ppa_metric": args.ppa_metric})
     low = import_csv(args.low)
     high = import_csv(args.high)
-    kind = DistanceKind(args.distance)
+    try:
+        kind = DistanceKind(args.distance)
+    except ValueError:
+        raise UsageError(f"unknown --distance {args.distance!r} "
+                         f"(valid: {', '.join(k.value for k in DistanceKind)})") from None
     m = match_datasets(low, high, cfg.behav_metric, cfg.ppa_metric, kind)
     if args.noise_mode.startswith("sample:"):
         mode = SamplePatterns(int(args.noise_mode.split(":", 1)[1]), seed=cfg.seed)
@@ -238,6 +211,9 @@ def cmd_match(args) -> int:
 # -- train ------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    from .forest import regressor_grid, save_model, train_classifier, train_regressor
+    from .matching import import_training_csv
+
     cfg = load_runconfig(args.config, {
         "seed": args.seed, "n_trees": args.n_trees,
         "max_depth": args.max_depth, "features_per_split": args.features,
@@ -277,6 +253,11 @@ def cmd_train(args) -> int:
 # -- supersample ------------------------------------------------------
 
 def cmd_supersample(args) -> int:
+    from .conss import (Estimators, derive_constraints, evaluate_pool, export_pool_csv,
+                        select_seeds, supersample)
+    from .forest import load_model
+    from .matching import EnumerateAll, parse_noise_mode
+
     cfg = load_runconfig(args.config, {"seed": args.seed,
                                        "behav_metric": args.behav_metric,
                                        "ppa_metric": args.ppa_metric})
@@ -323,6 +304,8 @@ def _proxy_fitness(kind, cfg, policy, activity):
 
 def _estimator_fitness(cfg, behav_model, ppa_model):
     """Batch GA fitness: one prediction per estimator for all rows."""
+    from .forest import predict_metric
+
     def fitness(bits: np.ndarray):
         return predict_metric(behav_model, bits), predict_metric(ppa_model, bits)
 
@@ -330,6 +313,10 @@ def _estimator_fitness(cfg, behav_model, ppa_model):
 
 
 def cmd_dse(args) -> int:
+    from .conss import derive_constraints, import_pool_csv
+    from .dse import hypervolume_2d, run_ga, validate_front
+    from .forest import load_model
+
     cfg = load_runconfig(args.config, {
         "seed": args.seed,
         "population_size": args.pop, "max_generations": args.generations,
@@ -411,6 +398,8 @@ def cmd_dse(args) -> int:
 # -- report -----------------------------------------------------------
 
 def _read_front_csv(path: str) -> ParetoFront:
+    from .dse import pareto_front
+
     _, raw, i = read_artifact(path)
     if i >= len(raw) or raw[i] != FRONT_HEADER:
         raise SchemaError(f"{path}: bad front header")
@@ -432,6 +421,9 @@ def _read_front_csv(path: str) -> ParetoFront:
 
 
 def cmd_report(args) -> int:
+    from .conss import ConstraintSpec, derive_constraints
+    from .dse import feasible_front, hypervolume_2d
+
     cfg = load_runconfig(args.config, {"behav_metric": args.behav_metric,
                                        "ppa_metric": args.ppa_metric})
     train_ds = import_csv(args.train)
@@ -532,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", required=True)
     p.add_argument("--high", required=True)
     p.add_argument("--distance", default="euclidean",
-                   choices=[k.value for k in DistanceKind])
+                   help="euclidean | manhattan | pareto")
     p.add_argument("--behav-metric", default=None)
     p.add_argument("--ppa-metric", default=None)
     p.add_argument("--n-noise", type=int, default=None)

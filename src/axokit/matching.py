@@ -205,6 +205,9 @@ def import_training_csv(path) -> TrainingSet:
         raise SchemaError(f"{path}: bad training header")
     if "n_noise" not in meta:
         raise SchemaError(f"{path}: preamble missing n_noise=")
+    if not meta["n_noise"].isdecimal():
+        raise SchemaError(f"{path}: n_noise must be a non-negative integer, "
+                          f"got {meta['n_noise']!r}")
     n_noise = int(meta["n_noise"])
     rownos, xs, ys = [], [], []
     error = None  # the first row that is not two non-empty fields

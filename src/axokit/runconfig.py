@@ -8,11 +8,14 @@ values; file values override the built-in defaults below.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .characterize import METRICS, ProxyWeights
-from .dse import GaParams
 from .errors import SchemaError
-from .forest import ForestParams
+
+if TYPE_CHECKING:
+    from .dse import GaParams
+    from .forest import ForestParams
 
 
 def _parse_bool(s: str) -> bool:
@@ -94,6 +97,8 @@ class RunConfig:
         return ProxyWeights(self.lut_delay, self.carry_delay, self.unit_energy)
 
     def forest_params(self, seed: int | None = None) -> ForestParams:
+        from .forest import ForestParams
+
         return ForestParams(
             n_trees=self.n_trees,
             max_depth=self.max_depth,
@@ -104,6 +109,8 @@ class RunConfig:
         )
 
     def ga_params(self, seed: int | None = None) -> GaParams:
+        from .dse import GaParams
+
         return GaParams(
             population_size=self.population_size,
             max_generations=self.max_generations,

@@ -19,6 +19,11 @@ are packed once and broadcast into each config's words; a caller that
 simulates many blocks over the same operands packs them once for all of
 its calls.  Outputs are unpacked in the narrowest integer type that holds
 them and widened only into the result.
+
+The activity pass (:func:`evaluate_toggles`) simulates and counts toggles
+on the packed words without unpacking any output.  It runs the chunk loop
+of :func:`evaluate_configs`, with chunks overlapping by one lane so that
+every transition is counted once.
 """
 
 from __future__ import annotations
@@ -36,16 +41,6 @@ from .operators import AxoConfig, Family, OperatorNetlist
 CHUNK_LANES = 1 << 20
 
 _ONES = ~np.uint64(0)
-
-
-def _lanes_mask(m: int, n_words: int) -> np.ndarray:
-    """Word mask with the first m lane bits set."""
-    mask = np.zeros(n_words, dtype=np.uint64)
-    full, rem = divmod(m, 64)
-    mask[:full] = _ONES
-    if rem:
-        mask[full] = np.uint64((1 << rem) - 1)
-    return mask
 
 
 def _pack_planes(vals: np.ndarray, n: int, n_words: int) -> np.ndarray:
@@ -71,8 +66,8 @@ def gate_words(config: AxoConfig) -> np.ndarray:
 
 def _block_gate(configs: Sequence[AxoConfig], n_words: int) -> np.ndarray:
     """(L, k * n_words) per-word gate masks of a block of k configs."""
-    words = np.stack([gate_words(c) for c in configs], axis=1)
-    return np.repeat(words, n_words, axis=1)
+    keep = np.array([c.bits for c in configs], dtype=bool).T
+    return np.repeat(np.where(keep, _ONES, np.uint64(0)), n_words, axis=1)
 
 
 def _operand_planes(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,76 +128,107 @@ def _collect_outputs(net: OperatorNetlist, sig: np.ndarray, lanes: int) -> np.nd
 def _count_toggles(net: OperatorNetlist, sig: np.ndarray, lanes: int) -> np.ndarray:
     """(k,) transitions on every cell output between consecutive lanes.
 
-    Lane i vs lane i+1 for i < lanes-1 within each config's segment; the
-    transition across a segment boundary is masked out.  Primary inputs
-    and constants are external activity and excluded.
+    Lane i vs lane i+1 for i < lanes-1 within each config's segment.
+    Only the last word of a segment holds bits that are not such
+    transitions (the one across the segment boundary and the padding), so
+    only that word is masked.  Primary inputs and constants are external
+    activity and excluded.
     """
     n_words = (lanes + 63) // 64
     k = sig.shape[1] // n_words
     if lanes < 2:
         return np.zeros(k, dtype=np.int64)
-    first = 2 + 2 * net.kind.width
-    x = sig[first:]
-    diff = np.empty_like(x)
-    diff[:, :-1] = (x[:, :-1] >> np.uint64(1)) | (x[:, 1:] << np.uint64(63))
-    diff[:, -1] = x[:, -1] >> np.uint64(1)
+    x = sig[2 + 2 * net.kind.width:]
+    diff = np.right_shift(x, np.uint64(1), out=np.empty_like(x))
+    diff[:, :-1] |= x[:, 1:] << np.uint64(63)
     diff ^= x
-    diff &= np.tile(_lanes_mask(lanes - 1, n_words), k)
-    counts = np.bitwise_count(diff).reshape(x.shape[0], k, n_words)
-    return counts.sum(axis=(0, 2), dtype=np.int64)
+    diff = diff.reshape(x.shape[0], k, n_words)
+    rem = (lanes - 1) % 64
+    if rem:
+        diff[:, :, -1] &= np.uint64((1 << rem) - 1)
+    else:
+        diff[:, :, -1] = 0
+    return np.bitwise_count(diff).sum(axis=(0, 2), dtype=np.int64)
+
+
+def _check_block(net: OperatorNetlist, configs: Sequence[AxoConfig],
+                 a: np.ndarray, b: np.ndarray):
+    """Checked ``(configs, a, b)`` of a block call, operands as int64."""
+    configs = list(configs)
+    for c in configs:
+        net.check_config(c)
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
+    if a.shape != b.shape or a.ndim not in (1, 2) or (a.ndim == 2 and a.shape[0] != len(configs)):
+        raise ValueError("operands must be two 1-D arrays of one length, "
+                         "or two (k, lanes) arrays with one row per config")
+    return configs, a, b
+
+
+def _chunks(net: OperatorNetlist, configs: list[AxoConfig], a: np.ndarray,
+            b: np.ndarray, overlap: bool, planes: np.ndarray | None = None):
+    """Simulate checked operands in chunks; yields ``(start, stop, sig)``.
+
+    With ``overlap`` each chunk after the first starts on the previous
+    chunk's last lane, so every transition between consecutive lanes falls
+    inside exactly one chunk.  ``planes`` (shared operands only) are the
+    packed ``_operand_planes`` of ``a``/``b``; chunks then start on whole
+    words of them.
+    """
+    k = len(configs)
+    n = a.shape[-1]
+    step = max(2, CHUNK_LANES // max(k, 1))
+    if planes is not None:
+        step = max(64, step - step % 64)
+    gate = None
+    chunk_planes = None
+    start = 0
+    while start < n and k:
+        stop = min(start + step, n)
+        n_words = (stop - start + 63) // 64
+        if gate is None or gate.shape[1] != k * n_words:
+            gate = _block_gate(configs, n_words)
+        if planes is not None:
+            chunk_planes = planes[..., start // 64:(stop + 63) // 64]
+        yield start, stop, _simulate_chunk(net, gate, a[..., start:stop],
+                                           b[..., start:stop], chunk_planes)
+        start = stop - 1 if overlap and stop < n else stop
+
+
+def evaluate_toggles(net: OperatorNetlist, configs: Sequence[AxoConfig],
+                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(k,) int64 toggle counts of k configs, without unpacking outputs.
+
+    Operands are shaped as for :func:`evaluate_configs`; toggles are
+    counted per config between consecutive pairs in lane order, including
+    across chunk boundaries.
+    """
+    configs, a, b = _check_block(net, configs, a, b)
+    toggles = np.zeros(len(configs), dtype=np.int64)
+    for start, stop, sig in _chunks(net, configs, a, b, overlap=True):
+        toggles += _count_toggles(net, sig, stop - start)
+    return toggles
 
 
 def evaluate_configs(net: OperatorNetlist, configs: Sequence[AxoConfig],
-                     a: np.ndarray, b: np.ndarray, count_toggles: bool = False,
-                     *, _planes: np.ndarray | None = None):
-    """Evaluate k configs of one operator in block passes.
+                     a: np.ndarray, b: np.ndarray,
+                     *, _planes: np.ndarray | None = None) -> np.ndarray:
+    """(k, lanes) int64 outputs of k configs of one operator, in block passes.
 
     ``a``/``b`` are either 1-D and shared by every config or (k, lanes)
-    with one row per config.  Returns (k, lanes) int64 outputs, or
-    ``(outputs, toggles)`` with (k,) int64 toggle counts when
-    ``count_toggles`` is set.  Toggles are counted per config between
-    consecutive pairs in lane order, including across chunk boundaries.
+    with one row per config.
 
     ``_planes`` is private to :mod:`axokit.characterize`: the
     ``_operand_planes`` of shared ``a``/``b``, packed once by a caller
     that simulates many blocks over the same operands.  Chunks then start
-    on whole words of it, so it cannot be combined with toggle counting.
+    on whole words of it.
     """
-    configs = list(configs)
-    for c in configs:
-        net.check_config(c)
-    k = len(configs)
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim not in (1, 2) or (a.ndim == 2 and a.shape[0] != k):
-        raise ValueError("operands must be two 1-D arrays of one length, "
-                         "or two (k, lanes) arrays with one row per config")
-    n = a.shape[-1]
-    out = np.empty((k, n), dtype=np.int64)
-    toggles = np.zeros(k, dtype=np.int64)
-    step = max(2, CHUNK_LANES // max(k, 1))
-    if _planes is not None:
-        if count_toggles or a.ndim != 1:
-            raise ValueError("packed planes are for shared operands without toggles")
-        step = max(64, step - step % 64)
-    gate = None
-    planes = None
-    start = 0
-    while start < n and k:
-        stop = min(start + step, n)
-        m = stop - start
-        if gate is None or gate.shape[1] != k * ((m + 63) // 64):
-            gate = _block_gate(configs, (m + 63) // 64)
-        if _planes is not None:
-            planes = _planes[..., start // 64:(stop + 63) // 64]
-        sig = _simulate_chunk(net, gate, a[..., start:stop], b[..., start:stop], planes)
-        out[:, start:stop] = _collect_outputs(net, sig, m)
-        if count_toggles:
-            toggles += _count_toggles(net, sig, m)
-        # overlap one lane so the chunk boundary transition is counted once
-        start = stop if stop == n or not count_toggles else stop - 1
-    if count_toggles:
-        return out, toggles
+    configs, a, b = _check_block(net, configs, a, b)
+    if _planes is not None and a.ndim != 1:
+        raise ValueError("packed planes are for shared operands")
+    out = np.empty((len(configs), a.shape[-1]), dtype=np.int64)
+    for start, stop, sig in _chunks(net, configs, a, b, False, _planes):
+        out[:, start:stop] = _collect_outputs(net, sig, stop - start)
     return out
 
 
@@ -217,7 +243,7 @@ def evaluate_batch(net: OperatorNetlist, config: AxoConfig,
     """
     if np.ndim(a) != 1 or np.shape(a) != np.shape(b):
         raise ValueError("operand arrays must be 1-D and the same length")
-    res = evaluate_configs(net, [config], a, b, count_toggles)
+    out = evaluate_configs(net, [config], a, b)[0]
     if count_toggles:
-        return res[0][0], int(res[1][0])
-    return res[0]
+        return out, int(evaluate_toggles(net, [config], a, b)[0])
+    return out

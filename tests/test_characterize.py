@@ -315,6 +315,36 @@ def test_dataset_thread_invariance_across_blocks(adder8, monkeypatch):
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 16), signed=st.booleans(), n=st.integers(1, 4097),
+       seed=st.integers(0, 2**32 - 1), uint=st.integers(0, 2**40))
+def test_one_operand_draw_equals_two(width, signed, n, seed, uint):
+    """``_record_operands`` draws a and b as one (2, n) array; numpy fills
+    it from the bit generator exactly as two successive size-n draws.  A
+    numpy whose ``integers`` breaks this would move every sampled and
+    activity metric."""
+    lo, hi = (-(1 << (width - 1)), 1 << (width - 1)) if signed else (0, 1 << width)
+    ss = np.random.SeedSequence((seed, 1, uint))
+    one = np.random.default_rng(ss).integers(lo, hi, size=(2, n), dtype=np.int64)
+    rng = np.random.default_rng(ss)
+    a = rng.integers(lo, hi, size=n, dtype=np.int64)
+    b = rng.integers(lo, hi, size=n, dtype=np.int64)
+    assert np.array_equal(one[0], a)
+    assert np.array_equal(one[1], b)
+
+
+@pytest.mark.parametrize("token", ["adder:u5", "mul:s4", "mul:s8"])
+def test_record_operands_follow_each_record_stream(token):
+    kind = parse_kind(token)
+    cfgs = sample_configs(kind, 5, seed=3)
+    a, b = characterize._record_operands(kind, cfgs, 333, 11, characterize._TAG_ACTIVITY)
+    lo, hi = kind.operand_range()
+    for i, c in enumerate(cfgs):
+        rng = np.random.default_rng(np.random.SeedSequence((11, characterize._TAG_ACTIVITY, c.uint)))
+        assert np.array_equal(a[i], rng.integers(lo, hi, size=333, dtype=np.int64))
+        assert np.array_equal(b[i], rng.integers(lo, hi, size=333, dtype=np.int64))
+
+
 def test_metric_matrix_shape(adder4_char):
     mat = adder4_char.metric_matrix(["avg_abs_rel_err", "pdplut"])
     assert mat.shape == (16, 2)

@@ -2,6 +2,8 @@
 
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -343,3 +345,40 @@ def test_non_finite_or_negative_proxy_weight_is_usage_error(tmp_path, capsys, li
     assert run("characterize", "--op", "adder:u4", "--config", cfg, "-o", out) == 2
     assert line.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["x", "-1"])
+def test_bad_n_noise_in_training_csv_is_schema_error(pipe, tmp_path, capsys, value):
+    bad = tmp_path / "train.csv"
+    text = (pipe / "train.csv").read_text()
+    edited = re.sub(r"n_noise=\d+", f"n_noise={value}", text, count=1)
+    assert edited != text
+    bad.write_text(edited)
+    assert run("train", "--training", bad, "--n-trees", 2, "-o", tmp_path / "m") == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "n_noise" in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_unknown_distance_is_usage_error(pipe, tmp_path, capsys):
+    assert run("match", "--low", pipe / "l.csv", "--high", pipe / "h.csv",
+               "--distance", "cosine", "-o", tmp_path / "t.csv") == 2
+    assert "euclidean" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_characterize_loads_no_stage_module(tmp_path):
+    # characterize pays only for what it runs: the learning, matching and
+    # search modules stay unimported
+    script = (
+        "import sys\n"
+        "from axokit import cli\n"
+        f"assert cli.main(['characterize', '--op', 'adder:u4', '-o', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+        "print(','.join(sorted(m for m in sys.modules if m.startswith('axokit.'))))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    loaded = set(res.stdout.strip().splitlines()[-1].split(","))
+    assert "axokit.characterize" in loaded
+    for name in ("forest", "dse", "conss", "matching", "stats"):
+        assert f"axokit.{name}" not in loaded

@@ -3,14 +3,25 @@
 import subprocess
 import sys
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axokit import build_netlist, evaluate, parse_kind
+from axokit.characterize import (
+    ActivityPolicy,
+    Exhaustive,
+    Sampled,
+    characterize_dataset,
+    ppa_characterize,
+    sample_configs,
+)
 from axokit.operators import AxoConfig
 from axokit import _simpy, simcore
-from axokit.simcore import evaluate_batch, evaluate_configs, gate_words
+from axokit.simcore import evaluate_batch, evaluate_configs, evaluate_toggles, gate_words
 
 
 def test_gate_words_layout():
@@ -146,19 +157,83 @@ def test_block_matches_per_config(token, k, lanes, shared, chunk, seed):
     a, b = rng.integers(lo, hi, size=shape), rng.integers(lo, hi, size=shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simcore, "CHUNK_LANES", chunk)
-        out, tog = evaluate_configs(net, cfgs, a, b, count_toggles=True)
-        plain = evaluate_configs(net, cfgs, a, b)
+        out = evaluate_configs(net, cfgs, a, b)
+        tog = evaluate_toggles(net, cfgs, a, b)
         if shared:
             # operands packed once by the caller, chunks on whole words
             planes = simcore._operand_planes(kind.width, a, b)
             assert np.array_equal(evaluate_configs(net, cfgs, a, b, _planes=planes), out)
     assert out.shape == (k, lanes) and tog.shape == (k,)
-    assert np.array_equal(plain, out)
     for i, cfg in enumerate(cfgs):
         ai, bi = (a, b) if shared else (a[i], b[i])
         o, t = evaluate_batch(net, cfg, ai, bi, count_toggles=True)
         assert np.array_equal(out[i], o)
         assert tog[i] == t
+
+
+def reference_count_toggles(net, sig, lanes):
+    """The toggle counter as it was before it masked only the last word of
+    each segment: a full lane mask, tiled over the k configs."""
+    n_words = (lanes + 63) // 64
+    k = sig.shape[1] // n_words
+    if lanes < 2:
+        return np.zeros(k, dtype=np.int64)
+    first = 2 + 2 * net.kind.width
+    x = sig[first:]
+    diff = np.empty_like(x)
+    diff[:, :-1] = (x[:, :-1] >> np.uint64(1)) | (x[:, 1:] << np.uint64(63))
+    diff[:, -1] = x[:, -1] >> np.uint64(1)
+    diff ^= x
+    mask = np.zeros(n_words, dtype=np.uint64)
+    full, rem = divmod(lanes - 1, 64)
+    mask[:full] = ~np.uint64(0)
+    if rem:
+        mask[full] = np.uint64((1 << rem) - 1)
+    diff &= np.tile(mask, k)
+    counts = np.bitwise_count(diff).reshape(x.shape[0], k, n_words)
+    return counts.sum(axis=(0, 2), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 4), cells=st.integers(0, 6), k=st.integers(1, 9),
+       lanes=st.one_of(st.just(1), st.sampled_from([64, 65, 127, 128, 129, 191, 192]),
+                       st.integers(2, 300)),
+       data=st.data())
+def test_count_toggles_matches_reference(width, cells, k, lanes, data):
+    """Masking only each segment's last word counts what the full lane
+    mask counted, on arbitrary words (padding bits included)."""
+    net = SimpleNamespace(kind=SimpleNamespace(width=width))
+    shape = (2 + 2 * width + cells, k * ((lanes + 63) // 64))
+    sig = data.draw(hnp.arrays(np.uint64, shape, elements=st.integers(0, 2**64 - 1)))
+    want = reference_count_toggles(net, sig.copy(), lanes)
+    got = simcore._count_toggles(net, sig, lanes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", [Exhaustive(), Sampled(150)])
+def test_characterize_records_independent_of_chunking(monkeypatch, policy):
+    # 1000 lanes per pass over 20 configs: 50-lane chunks with a one-lane
+    # overlap for toggles, 64-lane chunks over the shared exhaustive planes
+    kind = parse_kind("mul:s4")
+    cfgs = sample_configs(kind, 20, seed=8)
+    whole = characterize_dataset(kind, cfgs, policy, ActivityPolicy(300), seed=2)
+    monkeypatch.setattr(simcore, "CHUNK_LANES", 1000)
+    chunked = characterize_dataset(kind, cfgs, policy, ActivityPolicy(300), seed=2)
+    assert chunked.records == whole.records
+
+
+def test_activity_pass_unpacks_no_outputs(monkeypatch):
+    kind = parse_kind("mul:s4")
+    net = build_netlist(kind)
+    cfg = AxoConfig.from_uint(0b1011001101, net.removable_count)
+    want = ppa_characterize(net, cfg, ActivityPolicy(500), seed=1)
+
+    def refuse(*args):
+        raise AssertionError("activity pass unpacked outputs")
+
+    monkeypatch.setattr(simcore, "_collect_outputs", refuse)
+    assert ppa_characterize(net, cfg, ActivityPolicy(500), seed=1) == want
 
 
 def test_block_operand_shape_validation():
@@ -168,6 +243,8 @@ def test_block_operand_shape_validation():
         evaluate_configs(net, cfgs, np.zeros((3, 8)), np.zeros((3, 8)))
     with pytest.raises(ValueError):
         evaluate_configs(net, cfgs, np.zeros(8), np.zeros((2, 8)))
+    with pytest.raises(ValueError):
+        evaluate_toggles(net, cfgs, np.zeros((3, 8)), np.zeros((3, 8)))
     with pytest.raises(ValueError):
         evaluate_configs(net, [AxoConfig.all_ones(5)], np.zeros(8), np.zeros(8))
 
